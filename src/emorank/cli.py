@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,18 +33,16 @@ from .binio import FileFormatError
 from .codebook import (build_codebook, codebook_provenance, condition,
                        load_codebook, read_alignment, read_phoneme_labels,
                        save_codebook, score_corpus)
-from .extractor import (ExtractorConfig, classify, forward_intensity,
-                        init_params, load_model, params_digest, pool,
-                        project_score, save_model)
+from .extractor import (ExtractorConfig, init_params, load_model, params_digest,
+                        save_model)
 from .features import (featurize_audio, load_pitch_csv, load_wav, read_emof,
                        read_features, write_emof, write_features)
-from .losses import (LossWeights, mixup_ce, pair_probability, rank_loss,
-                     total_loss)
-from .evalmetrics import MetricReport, mcd, mel_cepstra
+from .losses import LossWeights, total_loss
+from .evalmetrics import mcd_report, mel_cepstra
 from .runconfig import ConfigError, RunConfig, describe_defaults
 from .synthcorpus import generate, save_corpus, spec_digest
 from .training import (Corpus, TrainingError, corpus_digest, load_corpus,
-                       train_rank_model, write_trace_csv)
+                       pair_losses, train_rank_model, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 3
@@ -175,13 +174,11 @@ def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config)
     seed = cfg.resolve_seed(args.seed)
     corpus = load_corpus(args.features_dir)
-    tcfg = cfg.train_config(seed)
-    if args.iterations is not None:
-        tcfg.iterations = args.iterations
-    if args.learning_rate is not None:
-        tcfg.learning_rate = args.learning_rate
-    if args.checkpoint_every is not None:
-        tcfg.checkpoint_every = args.checkpoint_every
+    # replace() re-runs TrainConfig's validation on the flag overrides
+    overrides = {"iterations": args.iterations, "learning_rate": args.learning_rate,
+                 "checkpoint_every": args.checkpoint_every}
+    tcfg = dataclasses.replace(cfg.train_config(seed),
+                               **{k: v for k, v in overrides.items() if v is not None})
     ecfg = cfg.extractor_config()
     if args.checkpoint_dir:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
@@ -245,7 +242,7 @@ def cmd_codebook(args) -> int:
                                config_hash=cfg.config_hash(),
                                seed=cfg.resolve_seed(args.seed))
     cb = build_codebook(records,
-                        n_bins=args.bins or cb_cfg["n_bins"],
+                        n_bins=args.bins if args.bins is not None else cb_cfg["n_bins"],
                         policy=args.policy or cb_cfg["policy"],
                         level_source=args.level_source or cb_cfg["level_source"],
                         provenance=prov)
@@ -302,8 +299,7 @@ def cmd_mcd(args) -> int:
     n_mel = frames_a.shape[1] - 2 if frames_a.shape[1] > 2 else frames_a.shape[1]
     cep_a = mel_cepstra(frames_a[:, :n_mel], order=args.order)
     cep_b = mel_cepstra(frames_b[:, :n_mel], order=args.order)
-    report = MetricReport("MCD", mcd(cep_a, cep_b), "dB", 1,
-                          [(f"{source_a} vs {source_b}", mcd(cep_a, cep_b))])
+    report = mcd_report([(f"{source_a} vs {source_b}", cep_a, cep_b)])
     print(report.format_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -340,13 +336,7 @@ def run_gradcheck(gc: dict, seed: int) -> tuple[dict, bool]:
     weights = LossWeights()
 
     def loss_value() -> nm.Tensor:
-        h_i = pool(forward_intensity(params, x_i, 1))
-        h_j = pool(forward_intensity(params, x_j, 1))
-        l_mix = mixup_ce(classify(params, h_i), classify(params, h_j),
-                         lam_i, lam_j, y_emo=1, y_neu=0)
-        l_rank = rank_loss(pair_probability(project_score(params, h_i),
-                                            project_score(params, h_j)),
-                           (lam_i - lam_j + 1.0) / 2.0)
+        l_mix, l_rank = pair_losses(params, x_i, x_j, lam_i, lam_j, 1, train=False)
         return total_loss(l_mix, l_rank, weights)
 
     loss = loss_value()

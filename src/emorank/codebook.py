@@ -139,6 +139,8 @@ def build_codebook(records: list[ScoreRecord], n_bins: int = 3, *,
     "pooled" utterance vectors (default) or "frames", which weights each
     utterance by its frame count, matching a mean over all member frames.
     """
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     if policy not in ("quantile", "fixed"):
         raise ValueError(f"unknown bin policy '{policy}'")
     if level_source not in ("pooled", "frames"):

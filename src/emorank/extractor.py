@@ -299,6 +299,11 @@ def read_tensor_table(r: SectionReader) -> dict[str, np.ndarray]:
 
 def save_model(params: ModelParams, path, meta: dict | None = None):
     """Write the model section; deterministic bytes for identical params."""
+    with open(path, "wb") as fh:
+        _write_model_section(fh, params, meta)
+
+
+def _write_model_section(fh, params: ModelParams, meta: dict | None):
     blob = {
         "config": asdict(params.config),
         "emotions": params.emotions,
@@ -308,13 +313,12 @@ def save_model(params: ModelParams, path, meta: dict | None = None):
     if params.feat_mean is not None:
         entries["feat.mean"] = np.asarray(params.feat_mean, dtype=params.dtype)
         entries["feat.std"] = np.asarray(params.feat_std, dtype=params.dtype)
-    with open(path, "wb") as fh:
-        w = SectionWriter(fh)
-        w.write(EMOM_MAGIC)
-        w.write_u32(EMOM_VERSION)
-        w.write_str(json.dumps(blob, sort_keys=True))
-        write_tensor_table(w, entries)
-        w.finish()
+    w = SectionWriter(fh)
+    w.write(EMOM_MAGIC)
+    w.write_u32(EMOM_VERSION)
+    w.write_str(json.dumps(blob, sort_keys=True))
+    write_tensor_table(w, entries)
+    w.finish()
 
 
 def _read_model_section(fh) -> tuple[ModelParams, dict]:

@@ -12,6 +12,7 @@ Seed precedence: command-line flag > config file > EMORANK_SEED env > 0.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,50 +30,38 @@ class ConfigError(ValueError):
     """Unknown key, wrong structure, or an invalid value in a config file."""
 
 
-# the schema: section -> key -> default; None means "no value, optional"
+def _field_defaults(cls, skip: tuple = ()) -> dict:
+    """A config section holding the field defaults of a dataclass.
+
+    A nested dataclass field is flattened into its own fields, and tuples
+    become lists, the JSON form a config file supplies.
+    """
+    section = {}
+    for f in dataclasses.fields(cls):
+        if f.name in skip:
+            continue
+        value = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        if dataclasses.is_dataclass(value):
+            section.update(_field_defaults(type(value)))
+        else:
+            section[f.name] = list(value) if isinstance(value, tuple) else value
+    return section
+
+
+# the schema: section -> key -> default; None means "no value, optional".
+# Sections with a dataclass take its defaults; the class count comes from the
+# corpus and the seed is resolved on its own, so neither is a config key.
 DEFAULTS: dict = {
     "seed": None,
-    "features": {
-        "sample_rate_hz": 16000,
-        "window_ms": 50.0,
-        "overlap_ratio": 0.5,
-        "n_mels": 80,
-        "fmin_hz": 0.0,
-        "fmax_hz": None,  # defaults to half the sample rate
-    },
-    "extractor": {
-        "input_dim": 82,
-        "hidden_dim": 256,
-        "n_fft_blocks": 2,
-        "n_heads": 2,
-        "conv_kernel": 9,
-        "conv_filter_dim": 1024,
-        "dropout": 0.1,
-        "projector_hidden": 128,
-    },
-    "train": {
-        "iterations": 20000,
-        "learning_rate": 1e-6,
-        "batch_pairs": 8,
-        "checkpoint_every": 0,
-        "pair_policy": "same_speaker",
-        "alpha": 0.1,
-        "beta": 1.0,
-    },
+    "features": _field_defaults(FeatureConfig),
+    "extractor": _field_defaults(ExtractorConfig, skip=("n_emotion_classes",)),
+    "train": _field_defaults(TrainConfig, skip=("seed",)),
     "codebook": {
         "n_bins": 3,
         "policy": "quantile",
         "level_source": "pooled",
     },
-    "synth": {
-        "n_speakers": 2,
-        "n_emotions": 3,
-        "utterances_per_cell": 30,
-        "frame_length_range": [40, 80],
-        "base_pattern_seed": 1234,
-        "intensity_range": [0.0, 1.0],
-        "noise_sigma": 0.05,
-    },
+    "synth": _field_defaults(SynthSpec),
     "gradcheck": {
         "time_frames": 6,
         "input_dim": 8,
@@ -143,45 +132,21 @@ class RunConfig:
     # ---- section materializers -------------------------------------------
 
     def feature_config(self) -> FeatureConfig:
-        f = self.doc["features"]
-        return FeatureConfig(sample_rate_hz=f["sample_rate_hz"],
-                             window_ms=f["window_ms"],
-                             overlap_ratio=f["overlap_ratio"],
-                             n_mels=f["n_mels"],
-                             fmin_hz=f["fmin_hz"],
-                             fmax_hz=f["fmax_hz"])
+        return FeatureConfig(**self.doc["features"])
 
     def extractor_config(self, n_emotion_classes: int = 2) -> ExtractorConfig:
-        e = self.doc["extractor"]
-        return ExtractorConfig(input_dim=e["input_dim"],
-                               hidden_dim=e["hidden_dim"],
-                               n_fft_blocks=e["n_fft_blocks"],
-                               n_heads=e["n_heads"],
-                               conv_kernel=e["conv_kernel"],
-                               conv_filter_dim=e["conv_filter_dim"],
-                               dropout=e["dropout"],
-                               n_emotion_classes=n_emotion_classes,
-                               projector_hidden=e["projector_hidden"])
+        return ExtractorConfig(**self.doc["extractor"],
+                               n_emotion_classes=n_emotion_classes)
 
     def train_config(self, seed: int) -> TrainConfig:
-        t = self.doc["train"]
-        return TrainConfig(iterations=t["iterations"],
-                           learning_rate=t["learning_rate"],
-                           batch_pairs=t["batch_pairs"],
-                           seed=seed,
-                           checkpoint_every=t["checkpoint_every"],
-                           loss_weights=LossWeights(alpha=t["alpha"], beta=t["beta"]),
-                           pair_policy=t["pair_policy"])
+        t = dict(self.doc["train"])
+        weights = LossWeights(alpha=t.pop("alpha"), beta=t.pop("beta"))
+        return TrainConfig(**t, seed=seed, loss_weights=weights)
 
     def synth_spec(self) -> SynthSpec:
-        s = self.doc["synth"]
-        return SynthSpec(n_speakers=s["n_speakers"],
-                         n_emotions=s["n_emotions"],
-                         utterances_per_cell=s["utterances_per_cell"],
-                         frame_length_range=tuple(s["frame_length_range"]),
-                         base_pattern_seed=s["base_pattern_seed"],
-                         intensity_range=tuple(s["intensity_range"]),
-                         noise_sigma=s["noise_sigma"])
+        # tuples, as in the dataclass defaults, so spec_digest is unchanged
+        return SynthSpec(**{k: tuple(v) if isinstance(v, list) else v
+                            for k, v in self.doc["synth"].items()})
 
 
 def describe_defaults() -> str:

@@ -20,12 +20,12 @@ from . import is_neutral
 from . import numerics as nm
 from .binio import FileFormatError, SectionReader, SectionWriter
 from .extractor import (ExtractorConfig, ModelParams, _read_model_section,
-                        classify, forward_intensity, init_params, pool,
-                        project_score, read_tensor_table, save_model,
+                        _write_model_section, classify, forward_intensity,
+                        init_params, pool, project_score, read_tensor_table,
                         write_tensor_table)
 from .features import FeatureMatrix, read_features
 from .losses import LossWeights, mixup_ce, pair_probability, rank_loss, total_loss
-from .mixup import make_mix_pair
+from .mixup import make_mix_pair, normalized_lambda_diff
 from .numerics import AdamState, NonFiniteError, Tensor
 
 CHECKPOINT_MAGIC = b"EMOA"  # optimizer appendix section of a checkpoint file
@@ -191,11 +191,25 @@ class TrainResult:
     adam: AdamState
 
 
-def _forward_mixture(params: ModelParams, x: np.ndarray, class_idx: int,
-                     rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    i_seq = forward_intensity(params, x, class_idx, train=True, rng=rng)
-    h = pool(i_seq)
-    return classify(params, h), project_score(params, h)
+def pair_losses(params: ModelParams, x_mix_i: np.ndarray, x_mix_j: np.ndarray,
+                lambda_i: float, lambda_j: float, y_emo: int, *,
+                train: bool = True,
+                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+    """The two terms of the objective for one pair of mixtures.
+
+    Returns (mixup cross-entropy between the emotion and neutral classes,
+    rank loss on which mixture carries more of the emotion). Mixture i is
+    run through the extractor before mixture j, so dropout draws keep their
+    order in ``rng``.
+    """
+    h_i = pool(forward_intensity(params, x_mix_i, y_emo, train=train, rng=rng))
+    logits_i, r_i = classify(params, h_i), project_score(params, h_i)
+    h_j = pool(forward_intensity(params, x_mix_j, y_emo, train=train, rng=rng))
+    logits_j, r_j = classify(params, h_j), project_score(params, h_j)
+    l_mix = mixup_ce(logits_i, logits_j, lambda_i, lambda_j, y_emo, y_neu=0)
+    l_rank = rank_loss(pair_probability(r_i, r_j),
+                       normalized_lambda_diff(lambda_i, lambda_j))
+    return l_mix, l_rank
 
 
 def _batch_losses(params: ModelParams, corpus: Corpus, cfg: TrainConfig,
@@ -205,12 +219,11 @@ def _batch_losses(params: ModelParams, corpus: Corpus, cfg: TrainConfig,
         x_emo, x_neu = sample_pair(corpus, cfg.pair_policy, rng)
         pair = make_mix_pair(x_emo, x_neu, rng)
         diag.append((x_emo.source_id, x_neu.source_id, pair.lambda_i, pair.lambda_j))
-        y_emo = params.class_index(pair.emotion_label)
-        logits_i, r_i = _forward_mixture(params, pair.x_mix_i, y_emo, rng)
-        logits_j, r_j = _forward_mixture(params, pair.x_mix_j, y_emo, rng)
-        mix_terms.append(mixup_ce(logits_i, logits_j, pair.lambda_i, pair.lambda_j,
-                                  y_emo, y_neu=0))
-        rank_terms.append(rank_loss(pair_probability(r_i, r_j), pair.lambda_diff))
+        l_mix, l_rank = pair_losses(params, pair.x_mix_i, pair.x_mix_j,
+                                    pair.lambda_i, pair.lambda_j,
+                                    params.class_index(pair.emotion_label), rng=rng)
+        mix_terms.append(l_mix)
+        rank_terms.append(l_rank)
     inv = 1.0 / cfg.batch_pairs
     l_mix = nm.scale(_sum_terms(mix_terms), inv)
     l_rank = nm.scale(_sum_terms(rank_terms), inv)
@@ -302,17 +315,16 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
 
 def save_checkpoint(params: ModelParams, adam: AdamState, iteration: int,
                     trace: np.ndarray, train_cfg: TrainConfig, path):
-    save_model(params, path, meta={"checkpoint_iteration": iteration})
-    cfg_dict = asdict(train_cfg)
-    cfg_dict["loss_weights"] = asdict(train_cfg.loss_weights)
-    meta = {"iteration": iteration, "adam_step": adam.step, "train_config": cfg_dict}
+    meta = {"iteration": iteration, "adam_step": adam.step,
+            "train_config": asdict(train_cfg)}
     entries = {}
     for name, m in adam.m.items():
         entries["adam.m." + name] = m
     for name, v in adam.v.items():
         entries["adam.v." + name] = v
     entries["trace"] = np.asarray(trace, dtype=np.float64).reshape(-1, 4)
-    with open(path, "ab") as fh:
+    with open(path, "wb") as fh:
+        _write_model_section(fh, params, {"checkpoint_iteration": iteration})
         w = SectionWriter(fh)
         w.write(CHECKPOINT_MAGIC)
         w.write_u32(CHECKPOINT_VERSION)

@@ -367,6 +367,23 @@ def test_dimension_errors_exit_5(pipeline, tmp_path):
                  "--bins", "99"]) == 5
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--iterations", "0"]),
+    ("train", ["--learning-rate", "-1"]),
+    ("train", ["--checkpoint-every", "-1"]),
+    ("codebook", ["--bins", "0"]),
+])
+def test_invalid_flag_overrides_exit_5(pipeline, tmp_path, command, flags):
+    # flag overrides are validated like config values, before anything is written
+    out = tmp_path / "out"
+    if command == "train":
+        args = [pipeline["corpus"], str(out), "--checkpoint-dir", str(tmp_path / "ckpt")]
+    else:
+        args = [pipeline["model"], pipeline["corpus"], str(out)]
+    assert main([command, "--config", pipeline["cfg"], *args, *flags]) == 5
+    assert os.listdir(tmp_path) == []
+
+
 def test_training_divergence_exit_7(pipeline, tmp_path, capsys):
     with np.errstate(all="ignore"):  # the blow-up itself is the point
         rc = main(["train", "--config", pipeline["cfg"], pipeline["corpus"],

@@ -8,7 +8,7 @@ from emorank.extractor import ExtractorConfig
 from emorank.features import FeatureConfig
 from emorank.runconfig import (DEFAULTS, ConfigError, RunConfig, SEED_ENV_VAR,
                                describe_defaults)
-from emorank.synthcorpus import SynthSpec
+from emorank.synthcorpus import SynthSpec, spec_digest
 from emorank.training import TrainConfig
 
 
@@ -58,6 +58,26 @@ def test_config_hash_tracks_resolved_values():
         == RunConfig().config_hash()
     assert RunConfig({"train": {"iterations": 3}}).config_hash() \
         != RunConfig().config_hash()
+
+
+def test_config_hash_pinned():
+    # provenance sidecars record these; a refactor of the schema must keep them
+    assert RunConfig().config_hash() == \
+        "e02e41953d40519a5cfb8afeacc97f6890f056cbf31cc48dd43ac90f40e9c05b"
+    doc = {"train": {"iterations": 5}, "synth": {"frame_length_range": [10, 20]},
+           "features": {"fmax_hz": 4000}}
+    assert RunConfig(doc).config_hash() == \
+        "11463a705017102ade3760623673ef355029eb7c5ea30ea201d988cc0630c352"
+    assert spec_digest(RunConfig().synth_spec()) == spec_digest(SynthSpec()) == \
+        "a72f32bbf3a4450f4877c82e5cb000354755c0c47665a037916fb8899b60a7b1"
+
+
+def test_empty_document_materializes_dataclass_defaults():
+    cfg = RunConfig()
+    assert cfg.feature_config() == FeatureConfig()
+    assert cfg.extractor_config() == ExtractorConfig()
+    assert cfg.train_config(0) == TrainConfig()
+    assert cfg.synth_spec() == SynthSpec()
 
 
 def test_seed_precedence(monkeypatch):

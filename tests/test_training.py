@@ -1,18 +1,21 @@
 """Training loop: sampling, determinism, checkpointing, and failure paths."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from emorank.binio import FileFormatError
 from emorank.extractor import (ExtractorConfig, init_params, load_model,
-                               params_digest)
+                               params_digest, save_model)
 from emorank.features import FeatureMatrix
+from emorank.numerics import AdamState
 from emorank.synthcorpus import SynthSpec, generate
 from emorank.training import (Corpus, TrainConfig, TrainingError,
                               compute_feature_stats, corpus_digest,
                               iteration_rng, load_checkpoint, load_corpus,
-                              read_trace_csv, sample_pair, train_rank_model,
-                              write_trace_csv)
+                              read_trace_csv, sample_pair, save_checkpoint,
+                              train_rank_model, write_trace_csv)
 
 
 def utt(speaker, emotion, k, t_len=8, channels=6, seed=None):
@@ -315,3 +318,29 @@ def test_trace_csv_header_validated(tmp_path):
     path.write_text("a,b,c,d\n0,1,2,3\n")
     with pytest.raises(FileFormatError):
         read_trace_csv(path)
+
+
+def test_checkpoint_and_model_bytes_pinned(tmp_path):
+    # the on-disk formats are fixed: same params and state, same bytes
+    params = init_params(tiny_cfg(input_dim=6), ["neutral", "angry", "amused"],
+                         np.random.default_rng(0))
+    params.feat_mean = np.arange(6, dtype=np.float32)
+    params.feat_std = np.full(6, 2.0, dtype=np.float32)
+    adam = AdamState(params.tensors)
+    adam.step = 3
+    rng = np.random.default_rng(1)
+    for name, t in params.tensors.items():
+        adam.m[name] = rng.normal(size=t.data.shape).astype(t.data.dtype)
+        adam.v[name] = rng.uniform(size=t.data.shape).astype(t.data.dtype)
+    trace = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
+    model, ckpt = tmp_path / "m.emom", tmp_path / "c.emom"
+    save_model(params, model, meta={"iterations": 3})
+    save_checkpoint(params, adam, 3, trace,
+                    TrainConfig(iterations=9, batch_pairs=2, seed=4, checkpoint_every=3),
+                    ckpt)
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert sha(model) == "efc88d7622372d8ed5ce0503c5e60b7d2f21a50311986d7d1d26cb2b7199ea54"
+    assert sha(ckpt) == "7d30666c1ab76c65f62bf4460dc70193b00d5f86af1052e4ba7443cd700b6ecd"
