@@ -172,91 +172,130 @@ def positional_encoding(t_len: int, dim: int, dtype=np.float64) -> np.ndarray:
     return cached
 
 
-def _maybe_dropout(x: Tensor, cfg: ExtractorConfig, train: bool,
-                   rng: np.random.Generator | None) -> Tensor:
-    if not train or cfg.dropout == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training-mode forward needs an explicit rng for dropout")
-    return nm.dropout(x, cfg.dropout, rng)
+def draw_dropout_masks(cfg: ExtractorConfig, t_len: int, dtype,
+                       rng: np.random.Generator) -> list[np.ndarray]:
+    """The dropout keep masks of one training forward over ``t_len`` frames.
+
+    Shapes and order are the forward's own: per FFT block, the attention
+    output (T, hidden), the first conv's activations (T, filter) and the
+    second conv's output (T, hidden). Drawing them ahead of the forward takes
+    the same values from ``rng`` as a forward drawing them as it goes.
+    """
+    if cfg.dropout == 0.0:
+        return []
+    widths = (cfg.hidden_dim, cfg.conv_filter_dim, cfg.hidden_dim) * cfg.n_fft_blocks
+    return nm.dropout_masks([(t_len, w) for w in widths], cfg.dropout, rng, dtype)
 
 
-def _self_attention(params: ModelParams, prefix: str, x: Tensor,
-                    train: bool, rng) -> Tensor:
+def _dropout(x: Tensor, cfg: ExtractorConfig, keep) -> Tensor:
+    mask = next(keep, None)
+    return x if mask is None else nm.dropout(x, cfg.dropout, keep=mask)
+
+
+def _self_attention(params: ModelParams, prefix: str, x: Tensor, lengths, keep) -> Tensor:
     cfg = params.config
     q = nm.add(nm.matmul(x, params[prefix + "attn.wq"]), params[prefix + "attn.bq"])
     k = nm.add(nm.matmul(x, params[prefix + "attn.wk"]), params[prefix + "attn.bk"])
     v = nm.add(nm.matmul(x, params[prefix + "attn.wv"]), params[prefix + "attn.bv"])
-    d_head = cfg.hidden_dim // cfg.n_heads
-    heads = []
-    for h in range(cfg.n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        scores = nm.scale(nm.matmul(nm.slice_cols(q, lo, hi),
-                                    nm.transpose(nm.slice_cols(k, lo, hi))),
-                          1.0 / np.sqrt(d_head))
-        heads.append(nm.matmul(nm.softmax(scores, axis=-1), nm.slice_cols(v, lo, hi)))
-    out = nm.add(nm.matmul(nm.concat_cols(heads), params[prefix + "attn.wo"]),
-                 params[prefix + "attn.bo"])
-    return _maybe_dropout(out, cfg, train, rng)
+    heads = nm.attention(q, k, v, cfg.n_heads, lengths)
+    out = nm.add(nm.matmul(heads, params[prefix + "attn.wo"]), params[prefix + "attn.bo"])
+    return _dropout(out, cfg, keep)
 
 
-def _conv_ff(params: ModelParams, prefix: str, x: Tensor, train: bool, rng) -> Tensor:
+def _conv_ff(params: ModelParams, prefix: str, x: Tensor, lengths, keep) -> Tensor:
     cfg = params.config
-    c = nm.relu(nm.conv1d(x, params[prefix + "conv1.w"], params[prefix + "conv1.b"]))
-    c = _maybe_dropout(c, cfg, train, rng)
-    c = nm.conv1d(c, params[prefix + "conv2.w"], params[prefix + "conv2.b"])
-    return _maybe_dropout(c, cfg, train, rng)
+    c = nm.relu(nm.conv1d(x, params[prefix + "conv1.w"], params[prefix + "conv1.b"], lengths))
+    c = _dropout(c, cfg, keep)
+    c = nm.conv1d(c, params[prefix + "conv2.w"], params[prefix + "conv2.b"], lengths)
+    return _dropout(c, cfg, keep)
 
 
-def _fft_block(params: ModelParams, index: int, x: Tensor, train: bool, rng) -> Tensor:
+def _fft_block(params: ModelParams, index: int, x: Tensor, lengths, keep) -> Tensor:
     prefix = f"block{index}."
-    x = nm.layer_norm(nm.add(x, _self_attention(params, prefix, x, train, rng)),
+    x = nm.layer_norm(nm.add(x, _self_attention(params, prefix, x, lengths, keep)),
                       params[prefix + "norm1.gain"], params[prefix + "norm1.bias"])
-    x = nm.layer_norm(nm.add(x, _conv_ff(params, prefix, x, train, rng)),
+    x = nm.layer_norm(nm.add(x, _conv_ff(params, prefix, x, lengths, keep)),
                       params[prefix + "norm2.gain"], params[prefix + "norm2.bias"])
     return x
 
 
 def forward_intensity(params: ModelParams, x, emotion_class, *,
-                      train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+                      train: bool = False, rng: np.random.Generator | None = None,
+                      dropout_masks: list | None = None) -> Tensor:
     """Per-frame intensity representation: FFT blocks plus the class embedding.
 
-    ``x`` is a raw (T, input_dim) feature matrix; normalization statistics
-    stored on the model are applied first. ``emotion_class`` is a class index
-    or label; passing the neutral class is allowed for diagnostics only.
-    Eval mode (default) is deterministic; ``train=True`` enables dropout and
-    requires ``rng``.
+    ``x`` is a raw (T, input_dim) feature matrix, and ``emotion_class`` a
+    class index or label; passing the neutral class is allowed for
+    diagnostics only. ``x`` may also be a list of such matrices, with one
+    class per matrix: they run as one packed batch, joined along time into a
+    (sum T, hidden) result with no padding. Every segment of a packed batch
+    is encoded as if it ran alone: positions restart at 0, convolutions pad
+    each segment with its own zeros, attention stays inside the segment, and
+    the segment's class embedding is added to its frames. Pool the result
+    with the segment lengths.
+
+    Normalization statistics stored on the model are applied first. Eval
+    mode (default) is deterministic; ``train=True`` enables dropout with the
+    per-segment masks of ``dropout_masks`` (one :func:`draw_dropout_masks`
+    list per segment), or else draws them from ``rng``, segment by segment.
     """
     cfg = params.config
-    idx = params.class_index(emotion_class)
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if data.ndim != 2 or data.shape[1] != cfg.input_dim:
-        raise ValueError(f"expected (T, {cfg.input_dim}) input, got {data.shape}")
+    packed = isinstance(x, (list, tuple))
+    segments = [s.data if isinstance(s, Tensor) else np.asarray(s)
+                for s in (x if packed else [x])]
+    classes = [params.class_index(c) for c in (emotion_class if packed else [emotion_class])]
+    if len(classes) != len(segments):
+        raise ValueError(f"{len(classes)} emotion classes for {len(segments)} segments")
+    for seg in segments:
+        if seg.ndim != 2 or seg.shape[1] != cfg.input_dim or seg.shape[0] < 1:
+            raise ValueError(f"expected (T, {cfg.input_dim}) input, got {seg.shape}")
+    lengths = [seg.shape[0] for seg in segments]
+    data = np.concatenate(segments) if packed else segments[0]
     if params.feat_mean is not None:
         data = (data - params.feat_mean) / params.feat_std
+
+    keep = iter(())
+    if train and cfg.dropout > 0.0:
+        if dropout_masks is None:
+            if rng is None:
+                raise ValueError("training-mode forward needs an explicit rng for dropout")
+            dropout_masks = [draw_dropout_masks(cfg, t, params.dtype, rng) for t in lengths]
+        if [len(m) for m in dropout_masks] != [3 * cfg.n_fft_blocks] * len(segments):
+            raise ValueError(f"need {3 * cfg.n_fft_blocks} dropout masks for each of "
+                             f"{len(segments)} segments")
+        keep = (np.concatenate(site) if packed else site[0] for site in zip(*dropout_masks))
+
     h = Tensor(np.asarray(data, dtype=params.dtype))
     h = nm.add(nm.matmul(h, params["in_proj.w"]), params["in_proj.b"])
-    h = nm.add(h, Tensor(positional_encoding(data.shape[0], cfg.hidden_dim, params.dtype)))
+    pos = [positional_encoding(t, cfg.hidden_dim, params.dtype) for t in lengths]
+    h = nm.add(h, Tensor(np.concatenate(pos) if packed else pos[0]))
     for i in range(cfg.n_fft_blocks):
-        h = _fft_block(params, i, h, train, rng)
-    i_seq = nm.add(h, nm.embedding_lookup(params["emb.table"], idx))
+        h = _fft_block(params, i, h, lengths, keep)
+    # each frame's class embedding row, as a one-hot matmul so the table's
+    # gradient is one product rather than a scatter over frames
+    one_hot = np.zeros((h.shape[0], cfg.n_emotion_classes), dtype=params.dtype)
+    one_hot[np.arange(h.shape[0]), np.repeat(classes, lengths)] = 1.0
+    i_seq = nm.add(h, nm.matmul(Tensor(one_hot), params["emb.table"]))
     i_seq.validate_finite()
     return i_seq
 
 
-def pool(i_seq: Tensor) -> Tensor:
-    """Average the intensity sequence over time into a single vector."""
-    return nm.mean_over_time(i_seq)
+def pool(i_seq: Tensor, lengths=None) -> Tensor:
+    """Average the intensity sequence over time into a single vector, or,
+    given the segment lengths of a packed sequence, into one row per
+    segment (B, hidden)."""
+    return nm.mean_over_time(i_seq, lengths)
 
 
 def classify(params: ModelParams, h: Tensor) -> Tensor:
-    """Affine map from the pooled vector to emotion-class logits."""
+    """Affine map from the pooled vector (or rows of them) to emotion-class
+    logits."""
     return nm.add(nm.matmul(nm.as_tensor(h), params["cls.w"]), params["cls.b"])
 
 
 def project_score(params: ModelParams, h: Tensor) -> Tensor:
     """Two-layer projector (tanh between) mapping the pooled vector to the
-    scalar rank score."""
+    scalar rank score; (B, hidden) pooled rows give (B,) scores."""
     hidden = nm.tanh(nm.add(nm.matmul(nm.as_tensor(h), params["proj.w1"]), params["proj.b1"]))
     return nm.pick(nm.add(nm.matmul(hidden, params["proj.w2"]), params["proj.b2"]), 0)
 

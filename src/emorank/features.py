@@ -11,6 +11,7 @@ of this file.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,18 +131,28 @@ def mel_to_hz(m):
 
 
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
-    """(n_mels, n_fft_bins) triangular filters on the HTK mel scale."""
-    win = cfg.window_samples
+    """(n_mels, n_fft_bins) triangular filters on the HTK mel scale.
+
+    Built once per distinct configuration and shared: the array is
+    read-only."""
+    return _mel_filterbank(cfg.sample_rate_hz, cfg.window_samples, cfg.n_mels,
+                           cfg.fmin_hz, cfg.fmax_hz)
+
+
+@functools.lru_cache(maxsize=16)
+def _mel_filterbank(sample_rate_hz: int, win: int, n_mels: int, fmin_hz: float,
+                    fmax_hz: float | None) -> np.ndarray:
     n_bins = win // 2 + 1
-    fmax = cfg.fmax_hz if cfg.fmax_hz is not None else cfg.sample_rate_hz / 2.0
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(fmax), cfg.n_mels + 2))
-    bin_freqs = np.arange(n_bins) * cfg.sample_rate_hz / win
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for m in range(cfg.n_mels):
+    fmax = fmax_hz if fmax_hz is not None else sample_rate_hz / 2.0
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax), n_mels + 2))
+    bin_freqs = np.arange(n_bins) * sample_rate_hz / win
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
         lo, center, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         up = (bin_freqs - lo) / (center - lo)
         down = (hi - bin_freqs) / (hi - center)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
+    fb.setflags(write=False)
     return fb
 
 
@@ -184,21 +195,19 @@ def extract_pitch(audio: np.ndarray, cfg: FeatureConfig,
     acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n=nfft, axis=1)[:, :win]
 
     out = np.zeros((frames.shape[0], 1))
+    rows = np.arange(frames.shape[0])
     r0 = acf[:, 0]
-    search = acf[:, lag_min:lag_max + 1]
-    best = np.argmax(search, axis=1) + lag_min
-    for t in range(frames.shape[0]):
-        if r0[t] <= LOG_FLOOR:
-            continue
-        lag = best[t]
-        if acf[t, lag] / r0[t] < voicing_threshold:
-            continue
-        # parabolic interpolation around the integer peak
-        y0, y1, y2 = acf[t, lag - 1], acf[t, lag], acf[t, lag + 1]
-        denom = y0 - 2.0 * y1 + y2
-        shift = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
-        shift = float(np.clip(shift, -0.5, 0.5))
-        out[t, 0] = np.log(sr / (lag + shift))
+    lag = np.argmax(acf[:, lag_min:lag_max + 1], axis=1) + lag_min
+    y0, y1, y2 = acf[rows, lag - 1], acf[rows, lag], acf[rows, lag + 1]
+    voiced = r0 > LOG_FLOOR
+    voiced[voiced] = y1[voiced] / r0[voiced] >= voicing_threshold
+    # parabolic interpolation around the integer peak
+    y0, y1, y2, lag = y0[voiced], y1[voiced], y2[voiced], lag[voiced]
+    denom = y0 - 2.0 * y1 + y2
+    flat = denom == 0.0
+    shift = 0.5 * (y0 - y2) / np.where(flat, 1.0, denom)
+    shift = np.clip(np.where(flat, 0.0, shift), -0.5, 0.5)
+    out[voiced, 0] = np.log(sr / (lag + shift))
     return out
 
 

@@ -1,12 +1,15 @@
 """Training objective: weighted mixup cross-entropy plus a pairwise rank loss.
 
 All functions accept Tensors (gradients flow) or plain floats/arrays (they
-are wrapped as constants) and return scalar Tensors.
+are wrapped as constants). One pair gives scalar Tensors; the pair losses
+also take a batch of pairs and then return one value per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
@@ -28,27 +31,36 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log-softmax of the target class."""
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """Negative log-softmax of the target class: a scalar for 1-D logits and
+    one target, or one value per row for (B, n) logits and B targets."""
     logits = nm.as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise ValueError(f"logits must be 1-D, got shape {logits.shape}")
-    if not 0 <= int(target) < logits.shape[0]:
-        raise ValueError(f"class index {target} out of range for {logits.shape[0]} classes")
-    return nm.neg(nm.pick(nm.log_softmax(logits), int(target)))
+    target = np.asarray(target)
+    if logits.data.ndim not in (1, 2) or target.shape != logits.shape[:-1]:
+        raise ValueError(f"need 1-D logits with one target or (B, n) logits with B "
+                         f"targets, got shapes {logits.shape} and {target.shape}")
+    if np.any(target < 0) or np.any(target >= logits.shape[-1]):
+        raise ValueError(f"class index {target} out of range for {logits.shape[-1]} classes")
+    if logits.data.ndim == 1:
+        target = int(target)
+    return nm.neg(nm.pick(nm.log_softmax(logits), target))
 
 
-def mixup_ce(logits_i: Tensor, logits_j: Tensor, lambda_i: float, lambda_j: float,
-             y_emo: int, y_neu: int) -> Tensor:
+def mixup_ce(logits_i: Tensor, logits_j: Tensor, lambda_i, lambda_j,
+             y_emo, y_neu) -> Tensor:
     """Sum of the two weighted cross-entropy terms, one per mixture.
 
     Each mixture is charged lambda * CE(emotional class) plus
-    (1 - lambda) * CE(neutral class).
+    (1 - lambda) * CE(neutral class). With (B, n) logits, per-pair weights
+    and per-pair emotional classes, the result is one loss per pair (B,).
     """
-    if int(y_emo) == int(y_neu):
+    lambda_i, lambda_j = np.asarray(lambda_i, dtype=float), np.asarray(lambda_j, dtype=float)
+    y_emo = np.broadcast_to(y_emo, lambda_i.shape)
+    y_neu = np.broadcast_to(y_neu, lambda_i.shape)
+    if np.any(y_emo == y_neu):
         raise ValueError("emotional and neutral class indices must differ")
     for lam in (lambda_i, lambda_j):
-        if not 0.0 <= lam <= 1.0:
+        if np.any(lam < 0.0) or np.any(lam > 1.0):
             raise ValueError(f"mixing weight must be in [0, 1], got {lam}")
     l_i = nm.add(nm.scale(cross_entropy(logits_i, y_emo), lambda_i),
                  nm.scale(cross_entropy(logits_i, y_neu), 1.0 - lambda_i))
@@ -58,13 +70,16 @@ def mixup_ce(logits_i: Tensor, logits_j: Tensor, lambda_i: float, lambda_j: floa
 
 
 def pair_probability(r_i: Tensor, r_j: Tensor) -> Tensor:
-    """Sigmoid of the score difference: the probability that i outranks j."""
+    """Sigmoid of the score difference: the probability that i outranks j
+    (elementwise over a batch of pairs)."""
     return nm.sigmoid(nm.sub(nm.as_tensor(r_i), nm.as_tensor(r_j)))
 
 
-def rank_loss(p_ij: Tensor, lambda_diff: float) -> Tensor:
-    """Binary cross-entropy between the rank probability and its soft target."""
-    if not 0.0 <= lambda_diff <= 1.0:
+def rank_loss(p_ij: Tensor, lambda_diff) -> Tensor:
+    """Binary cross-entropy between the rank probability and its soft target,
+    elementwise over a batch of pairs."""
+    lambda_diff = np.asarray(lambda_diff, dtype=float)
+    if np.any(lambda_diff < 0.0) or np.any(lambda_diff > 1.0):
         raise ValueError(f"lambda_diff must be in [0, 1], got {lambda_diff}")
     p = nm.clip(nm.as_tensor(p_ij), PROB_CLAMP, 1.0 - PROB_CLAMP)
     log_p = nm.log(p)

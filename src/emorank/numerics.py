@@ -4,8 +4,9 @@ Every operation that participates in training is defined here as a pure
 function over :class:`Tensor` values. Forward calls record their inputs on
 the output tensor; :meth:`Tensor.backward` replays the implicit graph in
 reverse topological order and accumulates gradients into every tensor that
-requires them. The op surface is deliberately small: exactly what the
-intensity extractor and its losses need, nothing more.
+requires them. The op surface is deliberately small: what the intensity
+extractor and its losses need, plus the per-head attention ops (slice,
+transpose, softmax, concat) that the fused attention op is tested against.
 
 Float64 is the oracle precision (all finite-difference checks run in it);
 float32 is supported for training throughput. An op inherits the dtype of
@@ -13,6 +14,8 @@ its inputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -211,8 +214,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), "mul", backward)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
+def scale(a: Tensor, s) -> Tensor:
+    """Multiply by a constant: a float, or an array of ``a``'s shape (cast to
+    its dtype), such as one weight per element of a batch of losses."""
+    if np.ndim(s) == 0:
+        s = float(s)
+    else:
+        s = np.asarray(s, dtype=a.data.dtype)
+        if s.shape != a.shape:
+            raise ValueError(f"scale shape mismatch: {a.shape} vs {s.shape}")
 
     def backward(g):
         _accumulate(a, g * s)
@@ -222,6 +232,28 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # linear algebra
+
+
+# rows per partial product of a weight gradient (see _weight_grad); OpenBLAS
+# 0.3.31 gave thread-count-independent results up to 448 rows, so 256 leaves
+# a margin
+_GRAD_CHUNK_ROWS = 256
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``a.T @ g``, summed over fixed chunks of rows in a fixed order.
+
+    A weight's gradient sums over every frame of a packed batch. Over a long
+    inner dimension BLAS may split the sum differently for different thread
+    counts, which changes the float rounding; chunks of at most
+    ``_GRAD_CHUNK_ROWS`` rows keep gradients, and with them whole training
+    runs, bitwise independent of the BLAS thread count.
+    """
+    n = _GRAD_CHUNK_ROWS
+    out = a[:n].T @ g[:n]
+    for lo in range(n, a.shape[0], n):
+        out += a[lo:lo + n].T @ g[lo:lo + n]
+    return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -238,7 +270,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, np.outer(a.data, g))
         else:
             _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, _weight_grad(a.data, g))
 
     return _make(a.data @ b.data, (a, b), "matmul", backward)
 
@@ -327,14 +359,40 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _make(np.clip(a.data, lo, hi), (a,), "clip", backward)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+def dropout_masks(shapes, p: float, rng: np.random.Generator, dtype) -> list[np.ndarray]:
+    """Inverted-dropout keep masks, one per shape: 1/(1-p) with probability
+    1-p, else 0. Not a tape op.
+
+    One uniform per element is drawn from ``rng``, mask after mask, in a
+    single call: a generator fills consecutive calls and one call of their
+    total size with the same values, so this equals drawing the masks one
+    by one.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = (rng.random(sum(sizes)) >= p).astype(dtype) / (1.0 - p)
+    masks, lo = [], 0
+    for shape, size in zip(shapes, sizes):
+        masks.append(flat[lo:lo + size].reshape(shape))
+        lo += size
+    return masks
+
+
+def dropout(a: Tensor, p: float, rng: np.random.Generator | None = None, *,
+            keep: np.ndarray | None = None) -> Tensor:
     """Inverted dropout: keep with probability 1-p and rescale, so eval mode
-    needs no correction. Deterministic given the generator state."""
+    needs no correction. Deterministic given the generator state.
+
+    ``keep`` applies a mask drawn earlier by :func:`dropout_masks` instead of
+    drawing one from ``rng``.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return a
-    keep = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    if keep is None:
+        keep = dropout_masks([a.shape], p, rng, a.data.dtype)[0]
+    elif keep.shape != a.shape:
+        raise ValueError(f"dropout mask shape {keep.shape} does not match {a.shape}")
 
     def backward(g):
         _accumulate(a, g * keep)
@@ -395,11 +453,59 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(xhat * gain.data + bias.data, (a, gain, bias), "layer_norm", backward)
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+def _runs(lengths, t_len: int) -> list[tuple[int, int, int, int]]:
+    """Split the rows of a packed (T, C) matrix into its segments.
+
+    ``lengths`` lists the consecutive segments' row counts (``None`` is one
+    segment of all T rows). Neighbouring segments of equal length are grouped
+    into one run, so per-segment work can be batched: each run is
+    ``(first row, end row, segment count, segment length)``.
+    """
+    if lengths is None:
+        return [(0, t_len, 1, t_len)]
+    runs, lo = [], 0
+    for seg in lengths:
+        seg = int(seg)
+        if seg < 1:
+            raise ValueError(f"segment lengths must be >= 1, got {seg}")
+        if runs and runs[-1][3] == seg:
+            first, _, n, _ = runs[-1]
+            runs[-1] = (first, lo + seg, n + 1, seg)
+        else:
+            runs.append((lo, lo + seg, 1, seg))
+        lo += seg
+    if lo != t_len:
+        raise ValueError(f"segment lengths sum to {lo}, but the input has {t_len} rows")
+    return runs
+
+
+def _cross_taps(lengths, t_len: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(frame, tap) pairs of a "same" convolution over a packed (T, C) matrix
+    whose tap reads outside the frame's own segment.
+
+    Frame t's tap j reads row t + j - (k-1)//2. Where that row lies outside
+    the segment, a segment convolved alone would read its zero padding.
+    """
+    if lengths is None:
+        lengths = [t_len]
+    lengths = np.asarray(lengths)
+    ends = np.cumsum(lengths)
+    lo = np.repeat(ends - lengths, lengths)[:, None]
+    hi = np.repeat(ends, lengths)[:, None]
+    src = np.arange(t_len)[:, None] + (np.arange(k) - (k - 1) // 2)[None, :]
+    return np.nonzero((src < lo) | (src >= hi))
+
+
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+           lengths=None) -> Tensor:
     """1-D convolution over time with "same" zero padding.
 
     ``x`` is (T, C_in), ``kernel`` is (K, C_in, C_out); output is (T, C_out).
-    Implemented as an im2col matmul so BLAS does the heavy lifting.
+    ``lengths`` splits the rows of ``x`` into consecutive segments that are
+    convolved independently: each segment is zero padded at both ends, so no
+    output frame reads a neighbouring segment. Implemented as one im2col
+    matmul over all segments so BLAS does the heavy lifting, and the kernel
+    gradient is one matmul too.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ValueError(f"conv1d expects (T,Cin) x (K,Cin,Cout), got {x.shape} x {kernel.shape}")
@@ -407,13 +513,20 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     k, kc_in, c_out = kernel.shape
     if kc_in != c_in:
         raise ValueError(f"conv1d channel mismatch: input {c_in}, kernel {kc_in}")
+    _runs(lengths, t_len)  # validates the segment lengths
     pad_lo = (k - 1) // 2
-    pad_hi = k - 1 - pad_lo
-    padded = np.zeros((t_len + k - 1, c_in), dtype=x.data.dtype)
-    padded[pad_lo:pad_lo + t_len] = x.data
-    # (T, K*Cin): row t holds the K taps around frame t, channel-major per tap
-    cols = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)  # (T, Cin, K)
-    cols = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(t_len, k * c_in)
+    if k == 1:
+        cols = x.data  # a one-tap kernel reads no neighbours: nothing to pad
+    else:
+        padded = np.zeros((t_len + k - 1, c_in), dtype=x.data.dtype)
+        padded[pad_lo:pad_lo + t_len] = x.data
+        # (T, K, Cin): row t holds the K taps around frame t
+        cols = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
+        cols = cols.transpose(0, 2, 1).copy()
+        # taps that would read a neighbouring segment read its padding instead
+        cross = _cross_taps(lengths, t_len, k)
+        cols[cross] = 0.0
+        cols = cols.reshape(t_len, k * c_in)
     w2d = kernel.data.reshape(k * c_in, c_out)
     out_data = cols @ w2d
     if bias is not None:
@@ -422,11 +535,16 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         out_data = out_data + bias.data
 
     def backward(g):
-        _accumulate(kernel, (cols.T @ g).reshape(k, c_in, c_out))
+        _accumulate(kernel, _weight_grad(cols, g).reshape(k, c_in, c_out))
         if bias is not None:
             _accumulate(bias, g.sum(axis=0))
-        gcols = (g @ w2d.T).reshape(t_len, k, c_in)
-        gpad = np.zeros_like(padded)
+        gcols = g @ w2d.T
+        if k == 1:
+            _accumulate(x, gcols)
+            return
+        gcols = gcols.reshape(t_len, k, c_in)
+        gcols[cross] = 0.0  # padding, not a neighbouring segment's frames
+        gpad = np.zeros((t_len + k - 1, c_in), dtype=gcols.dtype)
         for tap in range(k):
             gpad[tap:tap + t_len] += gcols[:, tap, :]
         _accumulate(x, gpad[pad_lo:pad_lo + t_len])
@@ -435,34 +553,111 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out_data, parents, "conv1d", backward)
 
 
-def embedding_lookup(table: Tensor, index: int) -> Tensor:
-    """Select one row of an embedding table; the gradient scatters back."""
-    index = int(index)
-    if not 0 <= index < table.shape[0]:
-        raise ValueError(f"embedding index {index} out of range for table {table.shape}")
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths=None) -> Tensor:
+    """Multi-head scaled dot-product self-attention as one op.
+
+    ``q``, ``k`` and ``v`` are (T, H*d); head h owns columns [h*d, (h+1)*d).
+    Every head computes softmax(q_h k_h^T / sqrt(d)) v_h, and the heads'
+    outputs sit side by side in a (T, H*d) result. ``lengths`` splits the
+    rows into consecutive segments; a frame attends only to the frames of
+    its own segment, so each segment sees its own T_i x T_i scores.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.data.ndim != 2 or not q.shape == k.shape == v.shape:
+        raise ValueError(f"attention expects equal (T, C) inputs, got {q.shape}, {k.shape}, {v.shape}")
+    t_len, width = q.shape
+    if n_heads < 1 or width % n_heads:
+        raise ValueError(f"width {width} does not split into {n_heads} heads")
+    d_head = width // n_heads
+    s = float(1.0 / np.sqrt(d_head))  # a Python float keeps float32 inputs in float32
+    runs = _runs(lengths, t_len)
+
+    def heads(a, lo, hi, n, seg):
+        # (n, H, seg, d) view of the run's rows: one matrix per segment and head
+        return a[lo:hi].reshape(n, seg, n_heads, d_head).transpose(0, 2, 1, 3)
+
+    # the arithmetic of each head is that of the chain matmul, scale,
+    # softmax, matmul on the head's own columns, op for op
+    out_data = np.empty_like(q.data)
+    probs = []
+    for run in runs:
+        p = heads(q.data, *run) @ heads(k.data, *run).transpose(0, 1, 3, 2)
+        p *= s
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        heads(out_data, *run)[...] = p @ heads(v.data, *run)
+        probs.append(p)
 
     def backward(g):
-        full = np.zeros_like(table.data)
-        full[index] = g
-        _accumulate(table, full)
+        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for run, p in zip(runs, probs):
+            gh = heads(g, *run)
+            heads(gv, *run)[...] = p.transpose(0, 1, 3, 2) @ gh
+            # softmax backward: p * (gp - rowsum(gp * p)), gp = g v^T
+            gs = gh @ heads(v.data, *run).transpose(0, 1, 3, 2)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= s
+            heads(gq, *run)[...] = gs @ heads(k.data, *run)
+            heads(gk, *run)[...] = gs.transpose(0, 1, 3, 2) @ heads(q.data, *run)
+        _accumulate(q, gq)
+        _accumulate(k, gk)
+        _accumulate(v, gv)
 
-    return _make(table.data[index].copy(), (table,), "embedding_lookup", backward)
+    return _make(out_data, (q, k, v), "attention", backward)
+
+
+def take_rows(a: Tensor, index) -> Tensor:
+    """Rows of a 1-D or 2-D tensor: an int picks one row, an integer array
+    one row per entry. The gradient scatters back, summed over repeats."""
+    index = np.asarray(index)
+    if a.data.ndim not in (1, 2) or not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"take_rows expects a 1-D/2-D tensor and integer rows, "
+                         f"got {a.shape} and {index.dtype}")
+    if np.any(index < 0) or np.any(index >= a.shape[0]):
+        raise ValueError(f"row index out of range for {a.shape}")
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, index, g)
+        _accumulate(a, full)
+
+    return _make(np.take(a.data, index, axis=0), (a,), "take_rows", backward)
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
 
-def mean_over_time(x: Tensor) -> Tensor:
-    """Arithmetic mean over axis 0: (T, C) -> (C,)."""
+def mean_over_time(x: Tensor, lengths=None) -> Tensor:
+    """Arithmetic mean over axis 0: (T, C) -> (C,). With ``lengths`` the rows
+    are consecutive segments and each is averaged on its own: (T, C) -> (B, C)."""
     if x.data.ndim != 2:
         raise ValueError(f"mean_over_time expects a (T, C) matrix, got {x.shape}")
-    t_len = x.shape[0]
+    t_len, c = x.shape
+    if lengths is None:
+        def backward(g):
+            _accumulate(x, np.broadcast_to(g / t_len, x.shape))
+
+        return _make(x.data.mean(axis=0), (x,), "mean_over_time", backward)
+
+    runs = _runs(lengths, t_len)
+    out_data = np.empty((len(lengths), c), dtype=x.data.dtype)
+    first = 0  # first output row of the current run
+    for lo, hi, n, seg in runs:
+        out_data[first:first + n] = x.data[lo:hi].reshape(n, seg, c).mean(axis=1)
+        first += n
 
     def backward(g):
-        _accumulate(x, np.broadcast_to(g / t_len, x.shape))
+        gx = np.empty_like(x.data)
+        first = 0
+        for lo, hi, n, seg in runs:
+            gx[lo:hi].reshape(n, seg, c)[...] = (g[first:first + n] / seg)[:, None, :]
+            first += n
+        _accumulate(x, gx)
 
-    return _make(x.data.mean(axis=0), (x,), "mean_over_time", backward)
+    return _make(out_data, (x,), "mean_over_time", backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -481,10 +676,25 @@ def mean_all(a: Tensor) -> Tensor:
     return _make(a.data.mean(), (a,), "mean_all", backward)
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """Scalar element of a 1-D tensor, differentiable."""
+def pick(a: Tensor, index) -> Tensor:
+    """Element ``index`` of a 1-D tensor (a scalar), differentiable. For a
+    2-D tensor, one element per row: column ``index``, or ``index[r]`` for
+    row r."""
+    if a.data.ndim == 2:
+        rows = np.arange(a.shape[0])
+        cols = np.broadcast_to(np.asarray(index), rows.shape)
+        if not np.issubdtype(cols.dtype, np.integer) or np.any(cols < 0) \
+                or np.any(cols >= a.shape[1]):
+            raise ValueError(f"pick columns {index} out of range for {a.shape}")
+
+        def backward(g):
+            full = np.zeros_like(a.data)
+            full[rows, cols] = g
+            _accumulate(a, full)
+
+        return _make(a.data[rows, cols], (a,), "pick", backward)
     if a.data.ndim != 1:
-        raise ValueError(f"pick expects a 1-D tensor, got {a.shape}")
+        raise ValueError(f"pick expects a 1-D or 2-D tensor, got {a.shape}")
     index = int(index)
     if not 0 <= index < a.shape[0]:
         raise ValueError(f"pick index {index} out of range for {a.shape}")
@@ -508,6 +718,16 @@ class AdamState:
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.step = 0
+        self._work: dict = {}  # dtype -> two flat scratch buffers reused every step
+
+    def _work_buffers(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two scratch arrays shaped like ``like``, sharing memory across steps
+        and parameters (grown to the largest parameter)."""
+        bufs = self._work.get(like.dtype)
+        if bufs is None or bufs[0].size < like.size:
+            bufs = self._work[like.dtype] = (np.empty(like.size, like.dtype),
+                                             np.empty(like.size, like.dtype))
+        return tuple(b[:like.size].reshape(like.shape) for b in bufs)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
@@ -517,6 +737,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     ``params`` maps names to Tensors; ``grads`` maps the same names to arrays
     (typically ``tensor.grad``). Raises :class:`NonFiniteError` on a NaN/Inf
     gradient. Returns the mutated ``(params, state)`` pair.
+
+    Every element goes through the same operation sequence as
+    ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)`` and
+    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, but into reused
+    buffers, so the result is bitwise that formula's without its temporaries.
     """
     state.step += 1
     t = state.step
@@ -530,9 +755,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
             raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        a, b = state._work_buffers(m)
+        np.subtract(g, m, out=a)
+        np.multiply(a, 1.0 - beta1, out=a)
+        m += a
+        np.multiply(g, g, out=a)
+        np.subtract(a, v, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
+        v += a
+        np.divide(m, bc1, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.divide(a, b, out=a)
+        p.data -= a
     return params, state
 
 

@@ -1,10 +1,11 @@
 """Pair sampling and the rank-model training loop.
 
 Each iteration draws a batch of (emotional, neutral) utterance pairs, builds
-two mixtures per pair, runs both through the extractor, and minimizes
-alpha * L_mixup + beta * L_rank with Adam. Per-iteration randomness is drawn
-from a stream keyed by (seed, iteration), so a run checkpointed at iteration
-k and resumed is bit-identical to an uninterrupted run.
+two mixtures per pair, runs all mixtures through the extractor as one packed
+batch, and minimizes alpha * L_mixup + beta * L_rank with Adam. Per-iteration
+randomness is drawn from a stream keyed by (seed, iteration), so a run
+checkpointed at iteration k and resumed is bit-identical to an uninterrupted
+run.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from . import is_neutral
 from . import numerics as nm
 from .binio import FileFormatError, SectionReader, SectionWriter
 from .extractor import (ExtractorConfig, ModelParams, _read_model_section,
-                        _write_model_section, classify, forward_intensity,
-                        init_params, pool, project_score, read_tensor_table,
-                        write_tensor_table)
+                        _write_model_section, classify, draw_dropout_masks,
+                        forward_intensity, init_params, pool, project_score,
+                        read_tensor_table, write_tensor_table)
 from .features import FeatureMatrix, read_features
 from .losses import LossWeights, mixup_ce, pair_probability, rank_loss, total_loss
-from .mixup import make_mix_pair, normalized_lambda_diff
+from .mixup import MixPair, make_mix_pair, normalized_lambda_diff
 from .numerics import AdamState, NonFiniteError, Tensor
 
 CHECKPOINT_MAGIC = b"EMOA"  # optimizer appendix section of a checkpoint file
@@ -191,50 +192,46 @@ class TrainResult:
     adam: AdamState
 
 
-def pair_losses(params: ModelParams, x_mix_i: np.ndarray, x_mix_j: np.ndarray,
-                lambda_i: float, lambda_j: float, y_emo: int, *,
-                train: bool = True,
-                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
-    """The two terms of the objective for one pair of mixtures.
+def pair_losses(params: ModelParams, pairs: list[MixPair], *, train: bool = True,
+                dropout_masks: list | None = None) -> tuple[Tensor, Tensor]:
+    """The two terms of the objective, averaged over a batch of mixture pairs.
 
-    Returns (mixup cross-entropy between the emotion and neutral classes,
-    rank loss on which mixture carries more of the emotion). Mixture i is
-    run through the extractor before mixture j, so dropout draws keep their
-    order in ``rng``.
+    Returns (mean mixup cross-entropy between each pair's emotion and the
+    neutral class, mean rank loss on which mixture carries more of the
+    emotion). All mixtures run through the extractor as one packed batch in
+    the order i_0, j_0, i_1, j_1, ...; a training pass takes its dropout
+    masks from ``dropout_masks``, one ``draw_dropout_masks`` list per mixture
+    in that order.
     """
-    h_i = pool(forward_intensity(params, x_mix_i, y_emo, train=train, rng=rng))
-    logits_i, r_i = classify(params, h_i), project_score(params, h_i)
-    h_j = pool(forward_intensity(params, x_mix_j, y_emo, train=train, rng=rng))
-    logits_j, r_j = classify(params, h_j), project_score(params, h_j)
-    l_mix = mixup_ce(logits_i, logits_j, lambda_i, lambda_j, y_emo, y_neu=0)
-    l_rank = rank_loss(pair_probability(r_i, r_j),
+    y_emo = np.array([params.class_index(p.emotion_label) for p in pairs])
+    lambda_i = np.array([p.lambda_i for p in pairs])
+    lambda_j = np.array([p.lambda_j for p in pairs])
+    mixtures = [x for p in pairs for x in (p.x_mix_i, p.x_mix_j)]
+    i_seq = forward_intensity(params, mixtures, np.repeat(y_emo, 2), train=train,
+                              dropout_masks=dropout_masks)
+    h = pool(i_seq, [x.shape[0] for x in mixtures])
+    logits, r = classify(params, h), project_score(params, h)
+    rows_i, rows_j = np.arange(0, 2 * len(pairs), 2), np.arange(1, 2 * len(pairs), 2)
+    l_mix = mixup_ce(nm.take_rows(logits, rows_i), nm.take_rows(logits, rows_j),
+                     lambda_i, lambda_j, y_emo, y_neu=0)
+    l_rank = rank_loss(pair_probability(nm.take_rows(r, rows_i), nm.take_rows(r, rows_j)),
                        normalized_lambda_diff(lambda_i, lambda_j))
-    return l_mix, l_rank
+    return nm.mean_all(l_mix), nm.mean_all(l_rank)
 
 
 def _batch_losses(params: ModelParams, corpus: Corpus, cfg: TrainConfig,
                   rng: np.random.Generator, diag: list) -> tuple[Tensor, Tensor]:
-    mix_terms, rank_terms = [], []
+    pairs, masks = [], []
     for _ in range(cfg.batch_pairs):
         x_emo, x_neu = sample_pair(corpus, cfg.pair_policy, rng)
         pair = make_mix_pair(x_emo, x_neu, rng)
         diag.append((x_emo.source_id, x_neu.source_id, pair.lambda_i, pair.lambda_j))
-        l_mix, l_rank = pair_losses(params, pair.x_mix_i, pair.x_mix_j,
-                                    pair.lambda_i, pair.lambda_j,
-                                    params.class_index(pair.emotion_label), rng=rng)
-        mix_terms.append(l_mix)
-        rank_terms.append(l_rank)
-    inv = 1.0 / cfg.batch_pairs
-    l_mix = nm.scale(_sum_terms(mix_terms), inv)
-    l_rank = nm.scale(_sum_terms(rank_terms), inv)
-    return l_mix, l_rank
-
-
-def _sum_terms(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = nm.add(acc, t)
-    return acc
+        # mixture i's masks, then mixture j's: the draws of a forward per mixture
+        t_len = pair.x_mix_i.shape[0]
+        masks += [draw_dropout_masks(params.config, t_len, params.dtype, rng)
+                  for _ in range(2)]
+        pairs.append(pair)
+    return pair_losses(params, pairs, dropout_masks=masks)
 
 
 def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
@@ -249,6 +246,8 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
     the result is identical to never having stopped. ``params`` lets tests
     inject pre-built parameters; normally they are initialized from the seed.
     """
+    if log_every < 0:
+        raise ValueError(f"log_every must be >= 0, got {log_every}")
     weights = train_cfg.loss_weights
     start_iter = 0
     trace_rows: list[tuple] = []

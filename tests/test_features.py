@@ -93,6 +93,60 @@ def test_pitch_white_noise_mostly_unvoiced():
     assert (pitch == 0).mean() > 0.9
 
 
+def _pitch_per_frame_loop(audio, cfg):
+    """The per-frame peak refinement extract_pitch vectorizes, kept as its oracle."""
+    from emorank.features import (PITCH_FMAX_HZ, PITCH_FMIN_HZ,
+                                  PITCH_VOICING_THRESHOLD, _frame_signal)
+    frames = _frame_signal(audio, cfg)
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    win, sr = cfg.window_samples, cfg.sample_rate_hz
+    lag_min = max(2, int(sr / PITCH_FMAX_HZ))
+    lag_max = min(win - 2, int(np.ceil(sr / PITCH_FMIN_HZ)))
+    nfft = 1 << int(np.ceil(np.log2(2 * win)))
+    spec = np.fft.rfft(frames, n=nfft, axis=1)
+    acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n=nfft, axis=1)[:, :win]
+    out = np.zeros((frames.shape[0], 1))
+    r0 = acf[:, 0]
+    best = np.argmax(acf[:, lag_min:lag_max + 1], axis=1) + lag_min
+    for t in range(frames.shape[0]):
+        if r0[t] <= LOG_FLOOR:
+            continue
+        lag = best[t]
+        if acf[t, lag] / r0[t] < PITCH_VOICING_THRESHOLD:
+            continue
+        y0, y1, y2 = acf[t, lag - 1], acf[t, lag], acf[t, lag + 1]
+        denom = y0 - 2.0 * y1 + y2
+        shift = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
+        shift = float(np.clip(shift, -0.5, 0.5))
+        out[t, 0] = np.log(sr / (lag + shift))
+    return out
+
+
+def test_pitch_bitwise_equals_per_frame_loop():
+    rng = np.random.default_rng(17)
+    t = np.arange(24000) / 16000
+    signals = [np.zeros(16000), rng.normal(0, 0.1, 12000)]
+    for _ in range(30):
+        f0 = rng.uniform(70.0, 380.0)
+        gate = (np.sin(2 * np.pi * rng.uniform(1.0, 4.0) * t) > rng.uniform(-0.5, 0.5))
+        signals.append(gate * np.sin(2 * np.pi * f0 * t) * rng.uniform(0.01, 0.9)
+                       + rng.normal(0, rng.uniform(0.0, 0.2), t.size))
+    for audio in signals:
+        fast, slow = extract_pitch(audio, CFG), _pitch_per_frame_loop(audio, CFG)
+        assert fast.tobytes() == slow.tobytes()
+    assert any((extract_pitch(a, CFG) > 0).any() for a in signals[2:])
+
+
+def test_filterbank_cached_read_only_and_keyed_by_value():
+    fb = mel_filterbank(CFG)
+    assert mel_filterbank(FeatureConfig()) is fb
+    assert not fb.flags.writeable
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    other = mel_filterbank(FeatureConfig(fmax_hz=4000.0))
+    assert other is not fb and not np.array_equal(other, fb)
+
+
 def test_energy_doubles_with_amplitude():
     e1 = extract_energy(tone(250.0, amp=0.2), CFG)
     e2 = extract_energy(tone(250.0, amp=0.4), CFG)

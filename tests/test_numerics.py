@@ -119,11 +119,14 @@ def test_conv1d_kernel_one_is_pointwise_linear():
     np.testing.assert_allclose(out, x @ kernel[0], atol=1e-12)
 
 
-def test_embedding_lookup_forward_and_range():
+def test_take_rows_forward_and_range():
     table = Tensor(np.arange(12.0).reshape(4, 3))
-    np.testing.assert_array_equal(nm.embedding_lookup(table, 2).data, [6.0, 7.0, 8.0])
+    np.testing.assert_array_equal(nm.take_rows(table, 2).data, [6.0, 7.0, 8.0])
+    np.testing.assert_array_equal(nm.take_rows(table, [3, 0]).data, [[9, 10, 11], [0, 1, 2]])
     with pytest.raises(ValueError):
-        nm.embedding_lookup(table, 4)
+        nm.take_rows(table, 4)
+    with pytest.raises(ValueError):
+        nm.take_rows(table, [0, -1])
 
 
 def test_dropout_eval_identity_and_scaling():
@@ -234,6 +237,90 @@ def test_conv1d_grads(seed):
              [x, kernel, bias])
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_segmented_conv1d_grads(seed):
+    # equal neighbours share a run; a 2-frame segment is shorter than the kernel
+    rng = np.random.default_rng(seed)
+    lengths = [4, 4, 2, 5]
+    x = Tensor(rng.normal(size=(15, 3)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=True)
+    bias = Tensor(rng.normal(size=4), requires_grad=True)
+    fd_check(lambda: weighted_sum(nm.conv1d(x, kernel, bias, lengths), seed + 80),
+             [x, kernel, bias])
+
+
+def test_segmented_conv1d_equals_separate_convolutions():
+    rng = np.random.default_rng(4)
+    lengths = [7, 3, 3, 1]
+    x = rng.normal(size=(14, 3))
+    kernel = Tensor(rng.normal(size=(4, 3, 2)))  # even K pads one more row after
+    packed = nm.conv1d(Tensor(x), kernel, None, lengths).data
+    lo = 0
+    for n in lengths:
+        alone = nm.conv1d(Tensor(x[lo:lo + n]), kernel).data
+        np.testing.assert_allclose(packed[lo:lo + n], alone, rtol=0, atol=1e-12)
+        lo += n
+    with pytest.raises(ValueError):
+        nm.conv1d(Tensor(x), kernel, None, [7, 3])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_grads(seed):
+    rng = np.random.default_rng(seed)
+    lengths = [3, 3, 5, 1]
+    q, k, v = (Tensor(rng.normal(size=(12, 4)), requires_grad=True) for _ in range(3))
+    fd_check(lambda: weighted_sum(nm.attention(q, k, v, 2, lengths), seed + 90), [q, k, v])
+
+
+def test_attention_matches_per_head_softmax():
+    rng = np.random.default_rng(6)
+    q, k, v = (rng.normal(size=(5, 6)) for _ in range(3))
+    out = nm.attention(Tensor(q), Tensor(k), Tensor(v), 3).data
+    for h in range(3):
+        cols = slice(2 * h, 2 * h + 2)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(2)
+        p = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(out[:, cols], p @ v[:, cols], rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        nm.attention(Tensor(q), Tensor(k), Tensor(v), 4)
+
+
+def test_segment_mean_grads_and_values():
+    rng = np.random.default_rng(23)
+    a = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+    lengths = [2, 2, 4, 1]
+    out = nm.mean_over_time(a, lengths).data
+    np.testing.assert_allclose(out[2], a.data[4:8].mean(axis=0), atol=1e-12)
+    fd_check(lambda: weighted_sum(nm.mean_over_time(a, lengths), 24), [a])
+
+
+def test_row_pick_and_array_scale_grads():
+    rng = np.random.default_rng(25)
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    np.testing.assert_array_equal(nm.pick(a, [2, 0, 1, 2]).data,
+                                  a.data[[0, 1, 2, 3], [2, 0, 1, 2]])
+    fd_check(lambda: weighted_sum(nm.pick(a, [2, 0, 1, 2]), 26), [a])
+    fd_check(lambda: weighted_sum(nm.pick(a, 1), 27), [a])
+    s = rng.normal(size=(4, 3))
+    fd_check(lambda: weighted_sum(nm.scale(a, s), 28), [a])
+    with pytest.raises(ValueError):
+        nm.pick(a, [0, 3, 0, 0])
+    with pytest.raises(ValueError):
+        nm.scale(a, np.ones(3))
+
+
+def test_dropout_masks_draw_like_consecutive_dropouts():
+    masks = nm.dropout_masks([(3, 4), (3, 5)], 0.3, np.random.default_rng(9), np.float32)
+    rng = np.random.default_rng(9)
+    for m in masks:
+        ones = Tensor(np.ones(m.shape, dtype=np.float32))
+        np.testing.assert_array_equal(nm.dropout(ones, 0.3, rng).data, m)
+    x = Tensor(np.ones((3, 4)))
+    np.testing.assert_array_equal(nm.dropout(x, 0.3, keep=masks[0]).data, masks[0])
+    with pytest.raises(ValueError):
+        nm.dropout(x, 0.3, keep=masks[1])
+
+
 def test_slice_concat_transpose_pick_grads():
     rng = np.random.default_rng(19)
     a = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
@@ -246,13 +333,17 @@ def test_slice_concat_transpose_pick_grads():
     fd_check(lambda: nm.scale(nm.pick(v, 3), 2.5), [v])
 
 
-def test_embedding_lookup_grad_scatters():
+def test_take_rows_grad_scatters():
     table = Tensor(np.zeros((4, 3)), requires_grad=True)
-    out = nm.embedding_lookup(table, 1)
+    out = nm.take_rows(table, 1)
     nm.sum_all(out).backward()
     expected = np.zeros((4, 3))
     expected[1] = 1.0
     np.testing.assert_array_equal(table.grad, expected)
+    # repeated rows sum their gradients
+    table.zero_grad()
+    nm.sum_all(nm.take_rows(table, [2, 0, 2])).backward()
+    np.testing.assert_array_equal(table.grad[:, 0], [1.0, 0.0, 2.0, 0.0])
 
 
 def test_mean_over_time_grad():
@@ -373,6 +464,44 @@ def test_adam_skips_none_gradients():
     state = AdamState(params)
     adam_step(params, {"w": None}, state, lr=0.1)
     np.testing.assert_array_equal(p.data, [2.0])
+
+
+def _adam_reference(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The allocating Adam formula the in-place update must reproduce bitwise."""
+    state.step += 1
+    bc1 = 1.0 - beta1 ** state.step
+    bc2 = 1.0 - beta2 ** state.step
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m += (1.0 - beta1) * (g - m)
+        v += (1.0 - beta2) * (g * g - v)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_update_is_bitwise_the_formula(dtype):
+    rng = np.random.default_rng(11)
+    shapes = {"w": (5, 7), "b": (7,), "k": (3, 2, 4)}
+
+    def fresh():
+        params = {n: Tensor(rng_init.normal(size=s).astype(dtype), requires_grad=True)
+                  for n, s in shapes.items()}
+        return params, AdamState(params)
+
+    rng_init = np.random.default_rng(12)
+    p_new, s_new = fresh()
+    rng_init = np.random.default_rng(12)
+    p_ref, s_ref = fresh()
+    for _ in range(29):
+        grads = {n: (rng.normal(size=s) * 10.0 ** rng.integers(-4, 3)).astype(dtype)
+                 for n, s in shapes.items()}
+        adam_step(p_new, grads, s_new, lr=3e-3)
+        _adam_reference(p_ref, grads, s_ref, lr=3e-3)
+    for n in shapes:
+        assert p_new[n].data.dtype == dtype
+        np.testing.assert_array_equal(p_new[n].data, p_ref[n].data)
+        np.testing.assert_array_equal(s_new.m[n], s_ref.m[n])
+        np.testing.assert_array_equal(s_new.v[n], s_ref.v[n])
 
 
 def test_finite_difference_restores_values():

@@ -1,0 +1,260 @@
+"""Packed training batches: the one-pass objective against the per-pair path.
+
+The reference below is the per-mixture forward and per-pair objective the
+packed path replaced, kept here only as an oracle: per-head attention built
+from slice/transpose/softmax/concat ops, one forward per mixture, dropout
+masks drawn while the forward runs, and the batch mean as a chain of adds.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from emorank import numerics as nm
+from emorank import training
+from emorank.extractor import (ExtractorConfig, classify, draw_dropout_masks,
+                               forward_intensity, init_params, pool,
+                               positional_encoding, project_score)
+from emorank.losses import mixup_ce, pair_probability, rank_loss, total_loss
+from emorank.mixup import normalized_lambda_diff
+from emorank.numerics import ComputeGraph, Tensor
+from emorank.synthcorpus import SynthSpec, generate
+from emorank.training import (TrainConfig, _batch_losses, compute_feature_stats,
+                              iteration_rng, make_mix_pair, sample_pair)
+
+
+# ---------------------------------------------------------------------------
+# the per-pair reference
+
+
+def _ref_dropout(x, cfg, train, rng):
+    return nm.dropout(x, cfg.dropout, rng) if train and cfg.dropout > 0.0 else x
+
+
+def _ref_attention(params, prefix, x, train, rng):
+    cfg = params.config
+    q = nm.add(nm.matmul(x, params[prefix + "attn.wq"]), params[prefix + "attn.bq"])
+    k = nm.add(nm.matmul(x, params[prefix + "attn.wk"]), params[prefix + "attn.bk"])
+    v = nm.add(nm.matmul(x, params[prefix + "attn.wv"]), params[prefix + "attn.bv"])
+    d_head = cfg.hidden_dim // cfg.n_heads
+    heads = []
+    for h in range(cfg.n_heads):
+        lo, hi = h * d_head, (h + 1) * d_head
+        scores = nm.scale(nm.matmul(nm.slice_cols(q, lo, hi),
+                                    nm.transpose(nm.slice_cols(k, lo, hi))),
+                          1.0 / np.sqrt(d_head))
+        heads.append(nm.matmul(nm.softmax(scores, axis=-1), nm.slice_cols(v, lo, hi)))
+    out = nm.add(nm.matmul(nm.concat_cols(heads), params[prefix + "attn.wo"]),
+                 params[prefix + "attn.bo"])
+    return _ref_dropout(out, cfg, train, rng)
+
+
+def _ref_forward(params, x, emotion_class, train, rng):
+    cfg = params.config
+    data = (np.asarray(x) - params.feat_mean) / params.feat_std
+    h = Tensor(np.asarray(data, dtype=params.dtype))
+    h = nm.add(nm.matmul(h, params["in_proj.w"]), params["in_proj.b"])
+    h = nm.add(h, Tensor(positional_encoding(data.shape[0], cfg.hidden_dim, params.dtype)))
+    for i in range(cfg.n_fft_blocks):
+        p = f"block{i}."
+        h = nm.layer_norm(nm.add(h, _ref_attention(params, p, h, train, rng)),
+                          params[p + "norm1.gain"], params[p + "norm1.bias"])
+        c = nm.relu(nm.conv1d(h, params[p + "conv1.w"], params[p + "conv1.b"]))
+        c = _ref_dropout(c, cfg, train, rng)
+        c = _ref_dropout(nm.conv1d(c, params[p + "conv2.w"], params[p + "conv2.b"]),
+                         cfg, train, rng)
+        h = nm.layer_norm(nm.add(h, c), params[p + "norm2.gain"], params[p + "norm2.bias"])
+    return nm.add(h, nm.take_rows(params["emb.table"], params.class_index(emotion_class)))
+
+
+def _ref_batch_losses(params, corpus, cfg, rng):
+    mix_terms, rank_terms = [], []
+    for _ in range(cfg.batch_pairs):
+        x_emo, x_neu = sample_pair(corpus, cfg.pair_policy, rng)
+        pair = make_mix_pair(x_emo, x_neu, rng)
+        y = params.class_index(pair.emotion_label)
+        h_i = nm.mean_over_time(_ref_forward(params, pair.x_mix_i, y, True, rng))
+        h_j = nm.mean_over_time(_ref_forward(params, pair.x_mix_j, y, True, rng))
+        mix_terms.append(mixup_ce(classify(params, h_i), classify(params, h_j),
+                                  pair.lambda_i, pair.lambda_j, y, 0))
+        rank_terms.append(rank_loss(
+            pair_probability(project_score(params, h_i), project_score(params, h_j)),
+            normalized_lambda_diff(pair.lambda_i, pair.lambda_j)))
+    l_mix, l_rank = mix_terms[0], rank_terms[0]
+    for m, r in zip(mix_terms[1:], rank_terms[1:]):
+        l_mix, l_rank = nm.add(l_mix, m), nm.add(l_rank, r)
+    inv = 1.0 / cfg.batch_pairs
+    return nm.scale(l_mix, inv), nm.scale(l_rank, inv)
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+
+
+def ragged_setup(dtype=np.float64, dropout=0.1):
+    spec = SynthSpec(n_speakers=2, n_emotions=2, utterances_per_cell=9,
+                     frame_length_range=(5, 17))
+    corpus = generate(spec, np.random.default_rng(31)).corpus
+    cfg = ExtractorConfig(input_dim=corpus.n_channels, hidden_dim=8, n_fft_blocks=2,
+                          n_heads=2, conv_kernel=5, conv_filter_dim=12, dropout=dropout,
+                          n_emotion_classes=len(corpus.class_labels), projector_hidden=6)
+    params = init_params(cfg, corpus.class_labels, np.random.default_rng(32), dtype=dtype)
+    mean, std = compute_feature_stats(corpus)
+    params.feat_mean = np.asarray(mean, dtype=dtype)
+    params.feat_std = np.asarray(std, dtype=dtype)
+    return corpus, params
+
+
+def grads_of(params, loss):
+    params.zero_grads()
+    loss.backward()
+    return {name: t.grad.copy() for name, t in params.tensors.items()}
+
+
+# ---------------------------------------------------------------------------
+# oracle: the packed objective is the per-pair objective
+
+
+@pytest.mark.parametrize("iteration", [0, 7])
+def test_packed_objective_matches_per_pair_reference_in_train_mode(iteration):
+    corpus, params = ragged_setup()
+    cfg = TrainConfig(batch_pairs=5, seed=3)
+    weights = cfg.loss_weights
+
+    ref_mix, ref_rank = _ref_batch_losses(params, corpus, cfg, iteration_rng(3, iteration))
+    ref_grads = grads_of(params, total_loss(ref_mix, ref_rank, weights))
+    diag = []
+    l_mix, l_rank = _batch_losses(params, corpus, cfg, iteration_rng(3, iteration), diag)
+    grads = grads_of(params, total_loss(l_mix, l_rank, weights))
+
+    assert len({d[2] for d in diag}) == 5  # five distinct pairs were drawn
+    assert abs(l_mix.item() - ref_mix.item()) <= 1e-10
+    assert abs(l_rank.item() - ref_rank.item()) <= 1e-10
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-10, err_msg=name)
+    assert any(np.any(g != 0) for g in grads.values())
+
+
+def test_packed_forward_equals_separate_forwards():
+    corpus, params = ragged_setup(dropout=0.0)
+    xs = [corpus.utterances[i].frames for i in (0, 3, 4, 9)]
+    classes = [1, 2, 2, 0]
+    packed = forward_intensity(params, xs, classes)
+    assert packed.shape == (sum(len(x) for x in xs), params.config.hidden_dim)
+    lo = 0
+    for x, c in zip(xs, classes):
+        alone = forward_intensity(params, x, c).data
+        np.testing.assert_allclose(packed.data[lo:lo + len(x)], alone, rtol=0, atol=1e-12)
+        lo += len(x)
+    pooled = pool(packed, [len(x) for x in xs])
+    assert pooled.shape == (4, params.config.hidden_dim)
+    np.testing.assert_allclose(project_score(params, pooled).data[1],
+                               project_score(params, pool(forward_intensity(
+                                   params, xs[1], 2))).item(), rtol=0, atol=1e-12)
+
+
+def test_presampled_masks_equal_masks_drawn_by_the_forward():
+    corpus, params = ragged_setup()
+    xs = [corpus.utterances[i].frames for i in (1, 2)]
+    drawn = forward_intensity(params, xs, [1, 1], train=True,
+                              rng=np.random.default_rng(5)).data
+    rng = np.random.default_rng(5)
+    masks = [draw_dropout_masks(params.config, len(x), params.dtype, rng) for x in xs]
+    given = forward_intensity(params, xs, [1, 1], train=True, dropout_masks=masks).data
+    np.testing.assert_array_equal(given, drawn)
+    # the same values a forward drawing mask by mask with nm.dropout would use
+    rng = np.random.default_rng(5)
+    cfg = params.config
+    for m in masks[0]:
+        ones = Tensor(np.ones(m.shape, dtype=params.dtype))
+        np.testing.assert_array_equal(nm.dropout(ones, cfg.dropout, rng).data, m)
+    with pytest.raises(ValueError):
+        forward_intensity(params, xs, [1, 1], train=True, dropout_masks=masks[:1])
+
+
+def test_forward_rejects_mismatched_segment_classes():
+    corpus, params = ragged_setup()
+    with pytest.raises(ValueError):
+        forward_intensity(params, [corpus.utterances[0].frames] * 2, [1])
+
+
+# ---------------------------------------------------------------------------
+# segment isolation inside the ops
+
+
+def test_perturbing_one_segment_leaves_the_others_bitwise_unchanged():
+    rng = np.random.default_rng(8)
+    lengths = [6, 6, 2, 9]
+    x = rng.normal(size=(sum(lengths), 4))
+    kernel = Tensor(rng.normal(size=(5, 4, 3)))
+    x2 = x.copy()
+    x2[12:14] += 100.0  # the third segment only
+    keep = np.r_[0:12, 14:23]
+    for op in (lambda a: nm.conv1d(Tensor(a), kernel, None, lengths),
+               lambda a: nm.attention(Tensor(a), Tensor(a[:, ::-1].copy()),
+                                      Tensor(2 * a), 2, lengths)):
+        before, after = op(x).data, op(x2).data
+        np.testing.assert_array_equal(before[keep], after[keep])
+        assert not np.array_equal(before[12:14], after[12:14])
+
+
+# ---------------------------------------------------------------------------
+# the tape stays small
+
+
+def test_one_packed_forward_and_a_small_tape_per_iteration(monkeypatch):
+    data = generate(SynthSpec(n_speakers=2, n_emotions=3, utterances_per_cell=30),
+                    np.random.default_rng(100))
+    ecfg = ExtractorConfig(input_dim=82, hidden_dim=32, n_fft_blocks=2, n_heads=2,
+                           conv_kernel=9, conv_filter_dim=64, dropout=0.1,
+                           n_emotion_classes=4, projector_hidden=32)
+    calls, tapes = [], []
+    real_forward, real_total = training.forward_intensity, training.total_loss
+
+    def counting_forward(*args, **kwargs):
+        calls.append(1)
+        return real_forward(*args, **kwargs)
+
+    def tape_size(l_mix, l_rank, weights):
+        out = real_total(l_mix, l_rank, weights)
+        tapes.append(len(ComputeGraph.trace(out).nodes))
+        return out
+
+    monkeypatch.setattr(training, "forward_intensity", counting_forward)
+    monkeypatch.setattr(training, "total_loss", tape_size)
+    training.train_rank_model(data.corpus, ecfg, TrainConfig(
+        iterations=2, learning_rate=1e-3, batch_pairs=8, seed=0))
+    assert len(calls) == 2
+    assert len(tapes) == 2 and max(tapes) < 200, tapes
+
+
+_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from emorank.extractor import ExtractorConfig
+from emorank.synthcorpus import SynthSpec, generate
+from emorank.training import TrainConfig, train_rank_model
+data = generate(SynthSpec(n_speakers=2, n_emotions=3, utterances_per_cell=30),
+                np.random.default_rng(100))
+ecfg = ExtractorConfig(input_dim=82, hidden_dim=32, n_fft_blocks=2, n_heads=2,
+                       conv_kernel=9, conv_filter_dim=64, dropout=0.1,
+                       n_emotion_classes=4, projector_hidden=32)
+r = train_rank_model(data.corpus, ecfg, TrainConfig(iterations=3, learning_rate=1e-3,
+                                                    batch_pairs=8, seed=0))
+print(hashlib.sha256(r.trace.tobytes()).hexdigest())
+"""
+
+
+def test_training_is_bitwise_independent_of_blas_threads():
+    # a packed batch has far more frames than one weight-gradient chunk
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
