@@ -3,10 +3,16 @@
 Both formats are little-endian, carry a 4-byte magic and a u32 version, and
 end each section with a CRC32 over every byte of the section that precedes
 it. Strings are u32-length-prefixed UTF-8.
+
+:func:`atomic_write` replaces an artifact file in one step, so a writer
+that fails part way leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import secrets
 import struct
 import zlib
 from typing import BinaryIO
@@ -18,6 +24,31 @@ class FileFormatError(ValueError):
 
 class ChecksumError(FileFormatError):
     """Stored CRC32 does not match the bytes actually read."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open a fresh file beside ``path`` for writing (``mode`` "wb" or "w");
+    when the block ends normally it replaces ``path`` with one
+    ``os.replace``, and when the block raises it is removed and ``path`` is
+    left untouched.
+
+    The temporary file lives in the same directory, so the rename never
+    crosses a file system, and is created with the permissions a plain
+    ``open`` would give.
+    """
+    if mode not in ("wb", "w"):
+        raise ValueError(f"atomic_write mode must be 'wb' or 'w', got {mode!r}")
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 class SectionWriter:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import numerics as nm
-from .binio import FileFormatError
+from .binio import FileFormatError, atomic_write
 from .codebook import (build_codebook, codebook_provenance, condition,
                        load_codebook, read_alignment, read_phoneme_labels,
                        save_codebook, score_corpus)
@@ -78,7 +78,7 @@ def write_provenance(artifact_path, command: str, cfg: RunConfig, seed,
     }
     if extra:
         doc.update(extra)
-    with open(str(artifact_path) + ".provenance.json", "w", encoding="utf-8") as fh:
+    with atomic_write(str(artifact_path) + ".provenance.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import is_neutral
-from .binio import FileFormatError
+from .binio import FileFormatError, atomic_write
 from .extractor import (ModelParams, classify, forward_intensity, params_digest,
                         pool, project_score)
 from .numerics import Tensor
@@ -25,6 +25,15 @@ from .training import Corpus, corpus_digest
 
 LEVEL_NAMES_3 = ("Min", "Median", "Max")
 CODEBOOK_RESERVED_KEYS = ("neutral", "provenance")
+
+# frames per packed scoring forward: enough rows to keep BLAS busy, few
+# enough that a chunk's activations stay near one utterance's peak memory
+_SCORE_CHUNK_FRAMES = 1024
+# utterances this short are scored alone: BLAS computes products of a few
+# rows with other kernels than the rows of a large product, rounding them
+# differently (numpy sends one row to gemv; OpenBLAS 0.3.31 took its small
+# matrix path for up to 3 rows of the paper width's second conv)
+_SCORE_SOLO_FRAMES = 16
 
 
 def level_names(n_bins: int) -> tuple:
@@ -43,33 +52,59 @@ class ScoreRecord:
     i_seq: np.ndarray | None = None  # (T, hidden), kept only on request
 
 
+def _score_chunks(utterances):
+    """Consecutive runs of utterances holding at most ``_SCORE_CHUNK_FRAMES``
+    frames. A longer utterance, or one of at most ``_SCORE_SOLO_FRAMES``
+    frames, is a run of its own."""
+    chunk, frames = [], 0
+    for u in utterances:
+        # a chunk of at most _SCORE_SOLO_FRAMES frames is one short utterance
+        if chunk and (frames + u.n_frames > _SCORE_CHUNK_FRAMES
+                      or min(frames, u.n_frames) <= _SCORE_SOLO_FRAMES):
+            yield chunk
+            chunk, frames = [], 0
+        chunk.append(u)
+        frames += u.n_frames
+    if chunk:
+        yield chunk
+
+
 def score_corpus(params: ModelParams, corpus: Corpus, *,
                  keep_sequences: bool = False) -> list[ScoreRecord]:
-    """Score every non-neutral utterance unmixed, in corpus order, eval mode."""
+    """Score every non-neutral utterance unmixed, in corpus order, eval mode.
+
+    Utterances run in packed chunks (see :func:`forward_intensity`) on a
+    tape-free view of the parameters. The projector runs on each pooled row
+    alone, as for a single utterance, so every record is bitwise the one a
+    forward over that utterance by itself gives.
+    """
+    const = params.constants()
     records = []
-    for u in corpus:
-        if is_neutral(u.emotion_label):
-            continue
-        i_seq = forward_intensity(params, u.frames, u.emotion_label)
-        h = pool(i_seq)
-        r = project_score(params, h)
-        records.append(ScoreRecord(
-            utterance_id=u.source_id,
-            emotion=u.emotion_label.strip().lower(),
-            score=r.item(),
-            pooled=np.asarray(h.data, dtype=np.float64).copy(),
-            n_frames=u.n_frames,
-            i_seq=np.asarray(i_seq.data, dtype=np.float64).copy()
-            if keep_sequences else None,
-        ))
+    for chunk in _score_chunks(u for u in corpus if not is_neutral(u.emotion_label)):
+        lengths = [u.n_frames for u in chunk]
+        i_seq = forward_intensity(const, [u.frames for u in chunk],
+                                  [u.emotion_label for u in chunk])
+        pooled = pool(i_seq, lengths)
+        ends = np.cumsum(lengths)
+        for u, h, end in zip(chunk, pooled.data, ends):
+            records.append(ScoreRecord(
+                utterance_id=u.source_id,
+                emotion=u.emotion_label.strip().lower(),
+                score=project_score(const, h).item(),
+                pooled=h.astype(np.float64),
+                n_frames=u.n_frames,
+                i_seq=i_seq.data[end - u.n_frames:end].astype(np.float64)
+                if keep_sequences else None,
+            ))
     return records
 
 
 def classify_utterance(params: ModelParams, frames: np.ndarray,
                        emotion_for_embedding) -> int:
     """Argmax class for one unmixed utterance (diagnostic helper)."""
-    h = pool(forward_intensity(params, frames, emotion_for_embedding))
-    return int(np.argmax(classify(params, h).data))
+    const = params.constants()
+    h = pool(forward_intensity(const, frames, emotion_for_embedding))
+    return int(np.argmax(classify(const, h).data))
 
 
 @dataclass
@@ -219,7 +254,7 @@ def save_codebook(cb: IntensityCodebook, path):
         }
     doc["neutral"] = [0.0] * cb.hidden_dim
     doc["provenance"] = cb.provenance
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nm
-from .binio import FileFormatError, SectionReader, SectionWriter
+from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write
 from .numerics import Tensor
 
 EMOM_MAGIC = b"EMOM"
@@ -104,6 +104,13 @@ class ModelParams:
 
     def grads(self) -> dict[str, np.ndarray]:
         return {name: t.grad for name, t in self.tensors.items()}
+
+    def constants(self) -> "ModelParams":
+        """A tape-free view for inference: the same arrays as constant
+        tensors, so ops on them keep no parents and no backward closures."""
+        return ModelParams(self.config, self.emotions,
+                           {name: Tensor(t.data) for name, t in self.tensors.items()},
+                           self.feat_mean, self.feat_std)
 
 
 def _expected_shapes(cfg: ExtractorConfig) -> dict[str, tuple]:
@@ -338,7 +345,7 @@ def read_tensor_table(r: SectionReader) -> dict[str, np.ndarray]:
 
 def save_model(params: ModelParams, path, meta: dict | None = None):
     """Write the model section; deterministic bytes for identical params."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         _write_model_section(fh, params, meta)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import is_neutral
 from . import numerics as nm
-from .binio import FileFormatError, SectionReader, SectionWriter
+from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write
 from .extractor import (ExtractorConfig, ModelParams, _read_model_section,
                         _write_model_section, classify, draw_dropout_masks,
                         forward_intensity, init_params, pool, project_score,
@@ -322,7 +322,7 @@ def save_checkpoint(params: ModelParams, adam: AdamState, iteration: int,
     for name, v in adam.v.items():
         entries["adam.v." + name] = v
     entries["trace"] = np.asarray(trace, dtype=np.float64).reshape(-1, 4)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         _write_model_section(fh, params, {"checkpoint_iteration": iteration})
         w = SectionWriter(fh)
         w.write(CHECKPOINT_MAGIC)

@@ -1,0 +1,102 @@
+"""Artifact files are replaced in one step: a writer that fails part way
+leaves the previous file byte for byte and no temporary file behind."""
+
+import os
+import stat
+
+import numpy as np
+import pytest
+
+from emorank import training
+from emorank.binio import atomic_write
+from emorank.cli import write_provenance
+from emorank.codebook import IntensityCodebook, save_codebook
+from emorank.extractor import ExtractorConfig, init_params, save_model
+from emorank.numerics import AdamState
+from emorank.runconfig import RunConfig
+from emorank.training import TrainConfig, save_checkpoint
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def test_atomic_write_replaces_or_keeps_the_old_file(tmp_path):
+    path = tmp_path / "a.bin"
+    with atomic_write(path) as fh:
+        fh.write(b"first")
+    with pytest.raises(Boom):
+        with atomic_write(path) as fh:
+            fh.write(b"second, half")
+            raise Boom
+    assert path.read_bytes() == b"first"
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write("third")
+    assert path.read_text(encoding="utf-8") == "third"
+    assert os.listdir(tmp_path) == ["a.bin"]
+    with pytest.raises(ValueError):
+        with atomic_write(path, "ab"):
+            pass
+
+
+def test_atomic_write_gives_a_plain_open_s_permissions(tmp_path):
+    with open(tmp_path / "plain", "wb"):
+        pass
+    with atomic_write(tmp_path / "atomic"):
+        pass
+    assert stat.S_IMODE(os.stat(tmp_path / "atomic").st_mode) == \
+        stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+
+
+def _params():
+    cfg = ExtractorConfig(input_dim=6, hidden_dim=8, n_fft_blocks=1, n_heads=2,
+                          conv_kernel=3, conv_filter_dim=8, dropout=0.0,
+                          n_emotion_classes=3, projector_hidden=4)
+    return init_params(cfg, ["neutral", "angry", "amused"], np.random.default_rng(0))
+
+
+def _model(path, fail, monkeypatch):
+    # an unserializable meta value fails after the magic is written
+    save_model(_params(), path, meta={"bad": object()} if fail else {"iterations": 3})
+
+
+def _checkpoint(path, fail, monkeypatch):
+    params = _params()
+    if fail:
+        # fail in the optimizer section, after the whole model section
+        def broken_table(w, entries):
+            w.write(b"partial")
+            raise Boom
+
+        monkeypatch.setattr(training, "write_tensor_table", broken_table)
+    save_checkpoint(params, AdamState(params.tensors), 3, np.zeros((3, 4)),
+                    TrainConfig(iterations=9, batch_pairs=2, seed=4), path)
+
+
+def _codebook(path, fail, monkeypatch):
+    # json.dump streams the document, so an unserializable provenance
+    # value fails after the neutral entry is written
+    cb = IntensityCodebook({}, 4, {"zz": object()} if fail else {"run": 1})
+    save_codebook(cb, path)
+
+
+def _provenance(path, fail, monkeypatch):
+    extra = {"zz": object()} if fail else {"note": "ok"}
+    write_provenance(str(path)[:-len(".provenance.json")], "train", RunConfig(), 0,
+                     {"corpus": "c"}, extra)
+
+
+@pytest.mark.parametrize("name, write", [
+    ("m.emom", _model),
+    ("c.emom", _checkpoint),
+    ("codebook.json", _codebook),
+    ("m.emom.provenance.json", _provenance),
+])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, write):
+    path = tmp_path / name
+    write(path, False, monkeypatch)
+    before = path.read_bytes()
+    with pytest.raises((Boom, TypeError)):
+        write(path, True, monkeypatch)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [name]

@@ -1,8 +1,13 @@
 """Codebook construction, persistence, alignment, and conditioning lookups."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from emorank import codebook
 from emorank.binio import FileFormatError
 from emorank.codebook import (EmotionEntry, IntensityCodebook, PhonemeAlignment,
                               PhonemeInterval, ScoreRecord, build_codebook,
@@ -70,6 +75,122 @@ def test_score_corpus_matches_manual_forward():
     np.testing.assert_array_equal(rec.i_seq, i_seq.data.astype(np.float64))
     assert rec.score == project_score(params, pool(i_seq)).item()
     assert rec.n_frames == u.n_frames
+
+
+def ragged_corpus(lengths, seed=2):
+    """One utterance per length, cycling angry, neutral, amused labels."""
+    rng = np.random.default_rng(seed)
+    utts = []
+    for i, n in enumerate(lengths):
+        fr = rng.normal(size=(n, 6)).astype(np.float32)
+        fr[:, -2] = np.abs(fr[:, -2])
+        emo = ("angry", "neutral", "amused")[i % 3]
+        utts.append(FeatureMatrix(fr, 40.0, f"u{i}", emo, "s0"))
+    return Corpus(utts, require_roles=False)
+
+
+def record_chunks(monkeypatch):
+    """Wrap the scoring forward; returns the list of (frame counts, output)
+    of its calls."""
+    calls = []
+    real = codebook.forward_intensity
+
+    def counting_forward(params, x, emotion_class, **kw):
+        out = real(params, x, emotion_class, **kw)
+        calls.append(([len(f) for f in x], out))
+        return out
+
+    monkeypatch.setattr(codebook, "forward_intensity", counting_forward)
+    return calls
+
+
+def test_score_corpus_runs_one_tape_free_forward_per_chunk(monkeypatch):
+    cap, solo = codebook._SCORE_CHUNK_FRAMES, codebook._SCORE_SOLO_FRAMES
+    # neutral utterances (every third) are skipped without ending a chunk
+    lengths = [cap - 400, 7, 500, 30, 3, cap + 100, solo, 50, 1, 200, 9, 200]
+    params, corpus = tiny_model(), ragged_corpus(lengths)
+    calls = record_chunks(monkeypatch)
+    records = score_corpus(params, corpus)
+    assert [frames for frames, _ in calls] == \
+        [[cap - 400], [500, 30], [cap + 100], [solo], [1], [200, 200]]
+    assert [r.utterance_id for r in records] == \
+        [u.source_id for u in corpus if u.emotion_label != "neutral"]
+    for _, out in calls:
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+    assert all(t.grad is None for t in params.tensors.values())
+    for r, u in zip(records, (u for u in corpus if u.emotion_label != "neutral")):
+        h = pool(forward_intensity(params, u.frames, u.emotion_label))
+        assert r.score == project_score(params, h).item()
+        assert r.pooled.tobytes() == h.data.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_score_corpus_keeps_each_utterances_own_sequence(monkeypatch, dtype):
+    params = tiny_model()
+    for t in params.tensors.values():
+        t.data = t.data.astype(dtype)
+    corpus = ragged_corpus([20, 1, 33, 25, 1, 41])
+    calls = record_chunks(monkeypatch)
+    records = score_corpus(params, corpus, keep_sequences=True)
+    [(frames, chunk)] = calls
+    assert frames == [20, 33, 25, 41]
+    lo = 0
+    for r, u in zip(records, (u for u in corpus if u.emotion_label != "neutral")):
+        assert r.i_seq.shape == (u.n_frames, 8) and r.i_seq.dtype == np.float64
+        np.testing.assert_array_equal(r.i_seq, chunk.data[lo:lo + u.n_frames])
+        np.testing.assert_array_equal(
+            r.i_seq, forward_intensity(params, u.frames, u.emotion_label).data)
+        # a copy of its rows, not a view that keeps the whole chunk alive
+        assert r.i_seq.base is None and not np.shares_memory(r.i_seq, chunk.data)
+        assert r.pooled.base is None
+        lo += u.n_frames
+
+
+_SCORE_THREADS_SCRIPT = """
+import numpy as np
+from emorank.codebook import _SCORE_CHUNK_FRAMES, score_corpus
+from emorank.extractor import (ExtractorConfig, forward_intensity, init_params,
+                               pool, project_score)
+from emorank.features import FeatureMatrix
+from emorank.training import Corpus
+rng = np.random.default_rng(5)
+emotions = ["neutral", "angry", "amused"]
+params = init_params(ExtractorConfig(n_emotion_classes=3), emotions, rng)
+params.feat_mean = rng.normal(size=82).astype(np.float32)
+params.feat_std = rng.uniform(0.5, 2.0, size=82).astype(np.float32)
+lengths = [135, 300, 700, 90, 2, 135, _SCORE_CHUNK_FRAMES + 77, 1, 60, 513, 3, 240]
+utts = []
+for i, n in enumerate(lengths):
+    fr = rng.normal(size=(n, 82)).astype(np.float32)
+    fr[:, -2] = np.abs(fr[:, -2])
+    utts.append(FeatureMatrix(fr, 40.0, f"u{i}", emotions[i % 3], "s0"))
+corpus = Corpus(utts, require_roles=False)
+records = score_corpus(params, corpus, keep_sequences=True)
+scored = [u for u in utts if u.emotion_label != "neutral"]
+assert [r.utterance_id for r in records] == [u.source_id for u in scored]
+bad = []
+for r, u in zip(records, scored):
+    i_seq = forward_intensity(params, u.frames, u.emotion_label)
+    h = pool(i_seq)
+    if not (r.score == project_score(params, h).item()
+            and r.pooled.tobytes() == h.data.astype(np.float64).tobytes()
+            and r.i_seq.tobytes() == i_seq.data.astype(np.float64).tobytes()):
+        bad.append(u.source_id)
+print(len(records), "records, mismatched:", bad)
+"""
+
+
+def test_score_corpus_is_bitwise_the_lone_forward_for_1_and_2_blas_threads():
+    # paper width, ragged lengths: chunks of several utterances, a chunk
+    # boundary, an utterance over the chunk cap and some few-frame ones
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _SCORE_THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "8 records, mismatched: []", (threads, out.stdout)
 
 
 def test_classify_utterance_returns_class_index():
