@@ -219,7 +219,7 @@ def cmd_score(args) -> int:
     records = score_corpus(params, corpus)
     rows = [[r.utterance_id, r.emotion, repr(r.score)] for r in records]
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["utterance_id", "emotion", "score"])
             writer.writerows(rows)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.io.wavfile
 
-from .binio import FileFormatError, SectionReader, SectionWriter
+from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write
 
 LOG_FLOOR = 1e-10
 
@@ -283,7 +283,7 @@ def write_emof(path, frames: np.ndarray, frame_rate_hz: float,
                emotion_label: str, speaker_id: str, source_id: str):
     """Low-level writer: any (T, C) float32 matrix, not just feature layouts."""
     frames = np.ascontiguousarray(frames, dtype=np.float32)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         w = SectionWriter(fh)
         w.write(EMOF_MAGIC)
         w.write_u32(EMOF_VERSION)

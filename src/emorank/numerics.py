@@ -3,8 +3,11 @@
 Every operation that participates in training is defined here as a pure
 function over :class:`Tensor` values. Forward calls record their inputs on
 the output tensor; :meth:`Tensor.backward` replays the implicit graph in
-reverse topological order and accumulates gradients into every tensor that
-requires them. The op surface is deliberately small: what the intensity
+reverse topological order and accumulates gradients into every leaf that
+requires them. The sweep uses the graph up as it goes: each op output drops
+its gradient, its backward closure and its inputs once its closure has run,
+so only leaves keep gradients afterwards, and a swept graph cannot be
+backpropagated again. The op surface is deliberately small: what the intensity
 extractor and its losses need, plus the per-head attention ops (slice,
 transpose, softmax, concat) that the fused attention op is tested against.
 
@@ -38,8 +41,9 @@ class Tensor:
 
     ``requires_grad`` marks a trainable leaf; tensors produced by ops derive
     the flag from their parents so constant subgraphs cost nothing on the
-    backward pass. ``grad`` is populated by :meth:`backward` and has the same
-    shape and dtype as ``data``.
+    backward pass. :meth:`backward` leaves a ``grad`` of the same shape and
+    dtype as ``data`` on every leaf it reaches; an op output's ``grad`` lives
+    only while the sweep passes it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
@@ -74,10 +78,11 @@ class Tensor:
             raise NonFiniteError(f"non-finite values in tensor from op '{self.op}'")
 
     def backward(self, seed=None):
-        """Accumulate d(self)/d(leaf) into ``grad`` of every reachable tensor.
+        """Accumulate d(self)/d(leaf) into ``grad`` of every reachable leaf.
 
         ``seed`` defaults to ones, so calling it on a scalar loss gives plain
-        gradients. Visits each graph node exactly once.
+        gradients. Visits each graph node exactly once and releases the graph
+        behind ``self`` (see :meth:`ComputeGraph.backward`).
         """
         ComputeGraph.trace(self).backward(self, seed)
 
@@ -114,6 +119,9 @@ class ComputeGraph:
 
     Invariants: the backward sweep visits each node exactly once, and a
     tensor that does not feed the traced output keeps a zero (None) grad.
+    The sweep consumes the record: afterwards only leaves hold gradients, and
+    every op output has let go of its gradient, closure and inputs, so a
+    swept graph cannot be backpropagated again.
     """
 
     def __init__(self, nodes):
@@ -140,9 +148,17 @@ class ComputeGraph:
         if seed is None:
             seed = np.ones_like(root.data)
         _accumulate(root, np.asarray(seed, dtype=root.data.dtype))
-        for node in reversed(self.nodes):
+        nodes = self.nodes
+        while nodes:
+            # popped in reverse topological order: every consumer of this node
+            # has already run and released it, so once its own closure has run
+            # its activation, closure and gradient can be freed
+            node = nodes.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = node._backward = None
+                node._parents = ()
 
 
 def _accumulate(t: Tensor, g):
@@ -496,6 +512,24 @@ def _cross_taps(lengths, t_len: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero((src < lo) | (src >= hi))
 
 
+def _im2col(x: np.ndarray, k: int, cross) -> np.ndarray:
+    """The (T, K*C_in) tap matrix of a "same" convolution over ``x``: row t
+    holds the K input rows around frame t, zero where a tap reads the
+    padding or, at the ``cross`` (frame, tap) pairs, a neighbouring segment.
+    A one-tap kernel reads no neighbours: its tap matrix is ``x`` itself."""
+    if k == 1:
+        return x
+    t_len, c_in = x.shape
+    pad_lo = (k - 1) // 2
+    padded = np.zeros((t_len + k - 1, c_in), dtype=x.dtype)
+    padded[pad_lo:pad_lo + t_len] = x
+    # (T, K, Cin): row t holds the K taps around frame t
+    cols = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
+    cols = cols.transpose(0, 2, 1).copy()
+    cols[cross] = 0.0
+    return cols.reshape(t_len, k * c_in)
+
+
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            lengths=None) -> Tensor:
     """1-D convolution over time with "same" zero padding.
@@ -505,7 +539,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     convolved independently: each segment is zero padded at both ends, so no
     output frame reads a neighbouring segment. Implemented as one im2col
     matmul over all segments so BLAS does the heavy lifting, and the kernel
-    gradient is one matmul too.
+    gradient is one matmul too. The backward pass rebuilds the im2col matrix
+    from ``x`` rather than keeping it alive between the passes.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ValueError(f"conv1d expects (T,Cin) x (K,Cin,Cout), got {x.shape} x {kernel.shape}")
@@ -514,28 +549,19 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if kc_in != c_in:
         raise ValueError(f"conv1d channel mismatch: input {c_in}, kernel {kc_in}")
     _runs(lengths, t_len)  # validates the segment lengths
-    pad_lo = (k - 1) // 2
-    if k == 1:
-        cols = x.data  # a one-tap kernel reads no neighbours: nothing to pad
-    else:
-        padded = np.zeros((t_len + k - 1, c_in), dtype=x.data.dtype)
-        padded[pad_lo:pad_lo + t_len] = x.data
-        # (T, K, Cin): row t holds the K taps around frame t
-        cols = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
-        cols = cols.transpose(0, 2, 1).copy()
-        # taps that would read a neighbouring segment read its padding instead
-        cross = _cross_taps(lengths, t_len, k)
-        cols[cross] = 0.0
-        cols = cols.reshape(t_len, k * c_in)
+    # taps that would read a neighbouring segment read its padding instead
+    cross = _cross_taps(lengths, t_len, k) if k > 1 else None
     w2d = kernel.data.reshape(k * c_in, c_out)
-    out_data = cols @ w2d
+    out_data = _im2col(x.data, k, cross) @ w2d
     if bias is not None:
         if bias.shape != (c_out,):
             raise ValueError(f"conv1d bias must be ({c_out},), got {bias.shape}")
         out_data = out_data + bias.data
 
     def backward(g):
+        cols = _im2col(x.data, k, cross)
         _accumulate(kernel, _weight_grad(cols, g).reshape(k, c_in, c_out))
+        del cols  # gcols below is as large; keep only one of them alive
         if bias is not None:
             _accumulate(bias, g.sum(axis=0))
         gcols = g @ w2d.T
@@ -547,6 +573,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         gpad = np.zeros((t_len + k - 1, c_in), dtype=gcols.dtype)
         for tap in range(k):
             gpad[tap:tap + t_len] += gcols[:, tap, :]
+        pad_lo = (k - 1) // 2
         _accumulate(x, gpad[pad_lo:pad_lo + t_len])
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)

@@ -243,8 +243,12 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
     """Run the full optimization loop and return the trained model.
 
     Pass ``resume_from`` (a checkpoint path) to continue an interrupted run;
-    the result is identical to never having stopped. ``params`` lets tests
-    inject pre-built parameters; normally they are initialized from the seed.
+    the result is identical to never having stopped. The run that wrote the
+    checkpoint must have had the same train and extractor configs, except
+    for ``iterations``, ``checkpoint_every`` and the class count; any other
+    difference raises ValueError naming each differing key. ``params`` lets
+    tests inject pre-built parameters; normally they are initialized from the
+    seed.
     """
     if log_every < 0:
         raise ValueError(f"log_every must be >= 0, got {log_every}")
@@ -253,7 +257,10 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
     trace_rows: list[tuple] = []
 
     if resume_from is not None:
-        params, adam, start_iter, prev_trace = load_checkpoint(resume_from)
+        params, adam, meta, prev_trace = _read_checkpoint(resume_from)
+        _check_resume(meta["train_config"], train_cfg, params.config, extractor_cfg,
+                      resume_from)
+        start_iter = int(meta["iteration"])
         trace_rows = [tuple(row) for row in prev_trace]
         if start_iter >= train_cfg.iterations:
             raise ValueError(f"checkpoint already at iteration {start_iter}, "
@@ -289,11 +296,12 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
                               for ei, ni, li, lj in diag)
             raise TrainingError(
                 f"non-finite value at iteration {k}: {e}; pairs: {pairs}") from e
-        trace_rows.append((k, l_mix.item(), l_rank.item(), l_total.item()))
+        row = (k, l_mix.item(), l_rank.item(), l_total.item())
+        trace_rows.append(row)
         if log_every and (k + 1) % log_every == 0:
             print(f"iter {k + 1}/{train_cfg.iterations}  "
-                  f"l_mixup={l_mix.item():.4f}  l_rank={l_rank.item():.4f}  "
-                  f"l_total={l_total.item():.4f}", flush=True)
+                  f"l_mixup={row[1]:.4f}  l_rank={row[2]:.4f}  "
+                  f"l_total={row[3]:.4f}", flush=True)
         if (checkpoint_dir is not None and train_cfg.checkpoint_every
                 and (k + 1) % train_cfg.checkpoint_every == 0
                 and (k + 1) < train_cfg.iterations):
@@ -333,6 +341,11 @@ def save_checkpoint(params: ModelParams, adam: AdamState, iteration: int,
 
 
 def load_checkpoint(path) -> tuple[ModelParams, AdamState, int, np.ndarray]:
+    params, adam, meta, trace = _read_checkpoint(path)
+    return params, adam, int(meta["iteration"]), trace
+
+
+def _read_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
     with open(path, "rb") as fh:
         params, _ = _read_model_section(fh)
         r = SectionReader(fh)
@@ -349,7 +362,27 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState, int, np.ndarray]:
     for name in params.tensors:
         adam.m[name] = table["adam.m." + name]
         adam.v[name] = table["adam.v." + name]
-    return params, adam, int(meta["iteration"]), trace
+    return params, adam, meta, trace
+
+
+# settings a resumed run may change: how long it runs and how often it
+# saves, and the class count, which the corpus determines
+_RESUME_FREE = {"train.iterations", "train.checkpoint_every", "extractor.n_emotion_classes"}
+
+
+def _check_resume(stored_train: dict, train_cfg: TrainConfig,
+                  stored_extractor: ExtractorConfig, extractor_cfg: ExtractorConfig, path):
+    """Raise ValueError, listing every differing key, unless the run that
+    wrote the checkpoint at ``path`` was configured like this one."""
+    sections = {"train": (stored_train, asdict(train_cfg)),
+                "extractor": (asdict(stored_extractor), asdict(extractor_cfg))}
+    diffs = [f"{section}.{key}: checkpoint {old.get(key)!r}, this run {new.get(key)!r}"
+             for section, (old, new) in sections.items()
+             for key in sorted(old.keys() | new.keys())
+             if f"{section}.{key}" not in _RESUME_FREE and old.get(key) != new.get(key)]
+    if diffs:
+        raise ValueError(f"checkpoint {os.fspath(path)} was written by a differently "
+                         f"configured run: " + "; ".join(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +392,7 @@ TRACE_HEADER = ["iteration", "l_mixup", "l_rank", "l_total"]
 
 
 def write_trace_csv(trace: np.ndarray, path):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
         for row in np.asarray(trace).reshape(-1, 4):

@@ -1,20 +1,22 @@
 """Artifact files are replaced in one step: a writer that fails part way
 leaves the previous file byte for byte and no temporary file behind."""
 
+import dataclasses
 import os
 import stat
 
 import numpy as np
 import pytest
 
-from emorank import training
-from emorank.binio import atomic_write
-from emorank.cli import write_provenance
+from emorank import cli, training
+from emorank.binio import SectionWriter, atomic_write
+from emorank.cli import main, write_provenance
 from emorank.codebook import IntensityCodebook, save_codebook
 from emorank.extractor import ExtractorConfig, init_params, save_model
+from emorank.features import write_emof
 from emorank.numerics import AdamState
 from emorank.runconfig import RunConfig
-from emorank.training import TrainConfig, save_checkpoint
+from emorank.training import TrainConfig, save_checkpoint, write_trace_csv
 
 
 class Boom(RuntimeError):
@@ -86,11 +88,37 @@ def _provenance(path, fail, monkeypatch):
                      {"corpus": "c"}, extra)
 
 
+def _emof(path, fail, monkeypatch):
+    if fail:
+        # fail at the labels, after the header is written
+        def broken_str(self, text):
+            raise Boom
+
+        monkeypatch.setattr(SectionWriter, "write_str", broken_str)
+    write_emof(path, np.ones((4, 3)), 100.0, "angry", "spk", "u")
+
+
+class Unprintable:
+    def __float__(self):
+        raise Boom
+
+    __str__ = __float__
+
+
+def _trace_csv(path, fail, monkeypatch):
+    # the second row fails, after the header and the first row are written
+    trace = np.array([[0, 1.5, 0.5, 0.7], [1, Unprintable() if fail else 1.25, 0.5, 0.6]],
+                     dtype=object)
+    write_trace_csv(trace, path)
+
+
 @pytest.mark.parametrize("name, write", [
     ("m.emom", _model),
     ("c.emom", _checkpoint),
     ("codebook.json", _codebook),
     ("m.emom.provenance.json", _provenance),
+    ("u.emof", _emof),
+    ("loss.csv", _trace_csv),
 ])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, write):
     path = tmp_path / name
@@ -100,3 +128,28 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, write):
         write(path, True, monkeypatch)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == [name]
+
+
+def test_failed_score_csv_keeps_previous_file(tmp_path, monkeypatch):
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    save_model(_params(), inputs / "m.emom")
+    write_emof(inputs / "u.emof", np.ones((5, 6)), 100.0, "angry", "spk", "u")
+    path = out / "scores.csv"
+    argv = ["score", str(inputs / "m.emom"), str(inputs / "u.emof"), "--out", str(path)]
+    assert main(argv) == 0
+    before, names = path.read_bytes(), sorted(os.listdir(out))
+    assert names == ["scores.csv", "scores.csv.provenance.json"]
+    score_corpus = cli.score_corpus
+
+    def unprintable_ids(params, corpus):
+        # the first record's row fails, after the header is written
+        return [dataclasses.replace(r, utterance_id=Unprintable())
+                for r in score_corpus(params, corpus)]
+
+    monkeypatch.setattr(cli, "score_corpus", unprintable_ids)
+    with pytest.raises(Boom):
+        main(argv)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(out)) == names

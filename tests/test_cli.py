@@ -105,6 +105,25 @@ def test_train_flag_overrides_and_resume(pipeline, tmp_path):
     assert params_digest(load_model(resumed)[0]) == params_digest(load_model(out)[0])
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--seed", "4"], "train.seed: checkpoint 3, this run 4"),
+    (["--learning-rate", "0.002"], "train.learning_rate: checkpoint 0.001, this run 0.002"),
+])
+def test_resume_rejects_a_differently_configured_run(pipeline, tmp_path, capsys, flags, key):
+    ckpt = tmp_path / "ckpt"
+    assert main(["train", "--config", pipeline["cfg"], pipeline["corpus"],
+                 str(tmp_path / "first.emom"), "--iterations", "3",
+                 "--checkpoint-every", "2", "--checkpoint-dir", str(ckpt)]) == 0
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main(["train", "--config", pipeline["cfg"], pipeline["corpus"],
+               str(tmp_path / "resumed.emom"), "--iterations", "5",
+               "--resume", str(ckpt / "ckpt_0000002.emom"), *flags])
+    assert rc == 5
+    assert key in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == written
+
+
 def test_score_to_csv(pipeline, tmp_path):
     out = tmp_path / "scores.csv"
     assert main(["score", pipeline["model"], pipeline["corpus"],

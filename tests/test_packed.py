@@ -4,11 +4,15 @@ The reference below is the per-mixture forward and per-pair objective the
 packed path replaced, kept here only as an oracle: per-head attention built
 from slice/transpose/softmax/concat ops, one forward per mixture, dropout
 masks drawn while the forward runs, and the batch mean as a chain of adds.
+Two more oracles cover the memory of a training step: a ``conv1d`` that
+keeps its im2col columns for the backward pass, and a backward sweep that
+leaves the graph intact.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +94,55 @@ def _ref_batch_losses(params, corpus, cfg, rng):
     return nm.scale(l_mix, inv), nm.scale(l_rank, inv)
 
 
+def _ref_conv1d(x, kernel, bias=None, lengths=None):
+    """Segmented "same" conv1d that keeps its (T, K*C_in) columns alive until
+    the backward pass runs."""
+    t_len, c_in = x.shape
+    k, _, c_out = kernel.shape
+    pad_lo = (k - 1) // 2
+    if k == 1:
+        cols = x.data
+    else:
+        padded = np.zeros((t_len + k - 1, c_in), dtype=x.data.dtype)
+        padded[pad_lo:pad_lo + t_len] = x.data
+        cols = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
+        cols = cols.transpose(0, 2, 1).copy()
+        cross = nm._cross_taps(lengths, t_len, k)
+        cols[cross] = 0.0
+        cols = cols.reshape(t_len, k * c_in)
+    w2d = kernel.data.reshape(k * c_in, c_out)
+    out_data = cols @ w2d
+    if bias is not None:
+        out_data = out_data + bias.data
+
+    def backward(g):
+        nm._accumulate(kernel, nm._weight_grad(cols, g).reshape(k, c_in, c_out))
+        if bias is not None:
+            nm._accumulate(bias, g.sum(axis=0))
+        gcols = g @ w2d.T
+        if k == 1:
+            nm._accumulate(x, gcols)
+            return
+        gcols = gcols.reshape(t_len, k, c_in)
+        gcols[cross] = 0.0
+        gpad = np.zeros((t_len + k - 1, c_in), dtype=gcols.dtype)
+        for tap in range(k):
+            gpad[tap:tap + t_len] += gcols[:, tap, :]
+        nm._accumulate(x, gpad[pad_lo:pad_lo + t_len])
+
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return nm._make(out_data, parents, "conv1d", backward)
+
+
+def _intact_backward(root):
+    """The backward sweep that leaves every node's grad, closure and inputs
+    in place."""
+    nm._accumulate(root, np.ones_like(root.data))
+    for node in reversed(ComputeGraph.trace(root).nodes):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 
@@ -108,10 +161,17 @@ def ragged_setup(dtype=np.float64, dropout=0.1):
     return corpus, params
 
 
-def grads_of(params, loss):
+def grads_of(params, loss, backward=Tensor.backward):
     params.zero_grads()
-    loss.backward()
+    backward(loss)
     return {name: t.grad.copy() for name, t in params.tensors.items()}
+
+
+def assert_grads_bitwise_equal(grads, ref):
+    assert grads.keys() == ref.keys()
+    for name, g in grads.items():
+        assert g.dtype == ref[name].dtype, name
+        np.testing.assert_array_equal(g, ref[name], err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +259,105 @@ def test_perturbing_one_segment_leaves_the_others_bitwise_unchanged():
         before, after = op(x).data, op(x2).data
         np.testing.assert_array_equal(before[keep], after[keep])
         assert not np.array_equal(before[12:14], after[12:14])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [9, 1])
+def test_conv1d_equals_the_kept_columns_conv1d_bitwise(k, dtype):
+    rng = np.random.default_rng(40 + k)
+    lengths = [7, 7, 1, 300, 3, 9]  # 300 frames: more than one weight-gradient chunk
+    t_len, c_in, c_out = sum(lengths), 5, 6
+    arrays = [rng.normal(size=shape).astype(dtype)
+              for shape in ((t_len, c_in), (k, c_in, c_out), (c_out,))]
+    seed = rng.normal(size=(t_len, c_out)).astype(dtype)
+    results = []
+    for op in (nm.conv1d, _ref_conv1d):
+        x, kernel, bias = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = op(x, kernel, bias, lengths)
+        out.backward(seed)
+        results.append([out.data, kernel.grad, bias.grad, x.grad])
+    for new, ref in zip(*results):
+        assert new.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(new, ref)
+
+
+def test_conv1d_output_keeps_no_im2col_columns():
+    rng = np.random.default_rng(12)
+    lengths = [300, 250, 450]
+    t_len, c_in, k, c_out = sum(lengths), 16, 9, 4
+    x = Tensor(rng.normal(size=(t_len, c_in)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(k, c_in, c_out)), requires_grad=True)
+    cols_nbytes = t_len * k * c_in * x.data.itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = nm.conv1d(x, kernel, None, lengths)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak >= cols_nbytes  # the forward did build the columns
+    assert kept - out.data.nbytes < cols_nbytes // 10, (kept, out.data.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# the backward sweep releases the tape
+
+
+def _packed_total_loss(params, corpus, iteration=0):
+    cfg = TrainConfig(batch_pairs=5, seed=3)
+    l_mix, l_rank = _batch_losses(params, corpus, cfg, iteration_rng(3, iteration), [])
+    return total_loss(l_mix, l_rank, cfg.loss_weights)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_releases_the_tape_and_keeps_the_leaf_grads(dtype):
+    corpus, params = ragged_setup(dtype)
+    ref = grads_of(params, _packed_total_loss(params, corpus), _intact_backward)
+
+    root = _packed_total_loss(params, corpus)
+    ops = [node for node in ComputeGraph.trace(root).nodes if node._parents]
+    assert len(ops) > 50
+    grads = grads_of(params, root)
+    for node in ops:
+        assert node.grad is None and node._backward is None and node._parents == (), node.op
+    assert_grads_bitwise_equal(grads, ref)
+
+    # a swept root has nothing left to propagate: the leaf grads stay
+    root.backward()
+    assert_grads_bitwise_equal({name: t.grad for name, t in params.tensors.items()}, ref)
+    # a second forward and backward give the same leaf grads
+    assert_grads_bitwise_equal(grads_of(params, _packed_total_loss(params, corpus)), ref)
+
+
+def test_backward_returns_memory_to_the_pre_forward_level():
+    # the level counts everything a training process holds between steps:
+    # corpus, parameters, leaf grads and caches
+    tracemalloc.start()
+    try:
+        data = generate(SynthSpec(n_speakers=2, n_emotions=3, utterances_per_cell=30),
+                        np.random.default_rng(100))
+        ecfg = ExtractorConfig(input_dim=82, hidden_dim=32, n_fft_blocks=2, n_heads=2,
+                               conv_kernel=9, conv_filter_dim=64, dropout=0.1,
+                               n_emotion_classes=4, projector_hidden=32)
+        params = init_params(ecfg, data.corpus.class_labels, np.random.default_rng(0))
+        cfg = TrainConfig(batch_pairs=8, seed=0)
+
+        def step():
+            params.zero_grads()
+            l_mix, l_rank = _batch_losses(params, data.corpus, cfg, iteration_rng(0, 0), [])
+            l_total = total_loss(l_mix, l_rank, cfg.loss_weights)
+            l_total.backward()
+            return l_total
+
+        step()  # leaf grads and the positional-encoding cache now exist
+        before = tracemalloc.get_traced_memory()[0]
+        root = step()  # held, as the training loop holds its losses
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert root.grad is None and root._parents == ()
+    assert peak - before > 0.5 * before  # the step did build a graph
+    assert abs(after - before) <= 0.01 * before, (before, after)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,17 @@ def test_resume_beyond_target_rejected(tmp_path):
                          resume_from=tmp_path / "ckpt_0000005.emom")
 
 
+def test_log_line_reads_the_recorded_row(capsys):
+    result = train_rank_model(synth_corpus(), tiny_cfg(),
+                              TrainConfig(iterations=4, learning_rate=1e-3,
+                                          batch_pairs=2, seed=1), log_every=2)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "iter 2/4  l_mixup=2.3311  l_rank=0.7001  l_total=0.9332"
+    _, l_mix, l_rank, l_total = result.trace[3]
+    assert lines[1:] == [f"iter 4/4  l_mixup={l_mix:.4f}  l_rank={l_rank:.4f}  "
+                         f"l_total={l_total:.4f}"]
+
+
 def test_divergence_raises_training_error():
     corpus = synth_corpus()
     cfg = TrainConfig(iterations=50, learning_rate=1e12, batch_pairs=2, seed=0)
