@@ -309,7 +309,7 @@ def cmd_mcd(args) -> int:
     report = mcd_report([(f"{source_a} vs {source_b}", cep_a, cep_b)])
     print(report.format_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
         cfg = RunConfig.load(args.config)
         write_provenance(args.out, "mcd", cfg, cfg.resolve_seed(args.seed),

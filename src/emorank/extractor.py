@@ -179,19 +179,20 @@ def positional_encoding(t_len: int, dim: int, dtype=np.float64) -> np.ndarray:
     return cached
 
 
-def draw_dropout_masks(cfg: ExtractorConfig, t_len: int, dtype,
+def draw_dropout_masks(cfg: ExtractorConfig, t_len: int,
                        rng: np.random.Generator) -> list[np.ndarray]:
-    """The dropout keep masks of one training forward over ``t_len`` frames.
+    """The bool dropout keep masks of one training forward over ``t_len``
+    frames.
 
     Shapes and order are the forward's own: per FFT block, the attention
     output (T, hidden), the first conv's activations (T, filter) and the
-    second conv's output (T, hidden). Drawing them ahead of the forward takes
-    the same values from ``rng`` as a forward drawing them as it goes.
+    second conv's output (T, hidden), all drawn in one
+    :func:`numerics.dropout_masks` call.
     """
     if cfg.dropout == 0.0:
         return []
     widths = (cfg.hidden_dim, cfg.conv_filter_dim, cfg.hidden_dim) * cfg.n_fft_blocks
-    return nm.dropout_masks([(t_len, w) for w in widths], cfg.dropout, rng, dtype)
+    return nm.dropout_masks([(t_len, w) for w in widths], cfg.dropout, rng)
 
 
 def _dropout(x: Tensor, cfg: ExtractorConfig, keep) -> Tensor:
@@ -201,11 +202,11 @@ def _dropout(x: Tensor, cfg: ExtractorConfig, keep) -> Tensor:
 
 def _self_attention(params: ModelParams, prefix: str, x: Tensor, lengths, keep) -> Tensor:
     cfg = params.config
-    q = nm.add(nm.matmul(x, params[prefix + "attn.wq"]), params[prefix + "attn.bq"])
-    k = nm.add(nm.matmul(x, params[prefix + "attn.wk"]), params[prefix + "attn.bk"])
-    v = nm.add(nm.matmul(x, params[prefix + "attn.wv"]), params[prefix + "attn.bv"])
+    q = nm.matmul(x, params[prefix + "attn.wq"], params[prefix + "attn.bq"])
+    k = nm.matmul(x, params[prefix + "attn.wk"], params[prefix + "attn.bk"])
+    v = nm.matmul(x, params[prefix + "attn.wv"], params[prefix + "attn.bv"])
     heads = nm.attention(q, k, v, cfg.n_heads, lengths)
-    out = nm.add(nm.matmul(heads, params[prefix + "attn.wo"]), params[prefix + "attn.bo"])
+    out = nm.matmul(heads, params[prefix + "attn.wo"], params[prefix + "attn.bo"])
     return _dropout(out, cfg, keep)
 
 
@@ -227,8 +228,7 @@ def _fft_block(params: ModelParams, index: int, x: Tensor, lengths, keep) -> Ten
 
 
 def forward_intensity(params: ModelParams, x, emotion_class, *,
-                      train: bool = False, rng: np.random.Generator | None = None,
-                      dropout_masks: list | None = None) -> Tensor:
+                      train: bool = False, dropout_masks: list | None = None) -> Tensor:
     """Per-frame intensity representation: FFT blocks plus the class embedding.
 
     ``x`` is a raw (T, input_dim) feature matrix, and ``emotion_class`` a
@@ -243,8 +243,8 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
 
     Normalization statistics stored on the model are applied first. Eval
     mode (default) is deterministic; ``train=True`` enables dropout with the
-    per-segment masks of ``dropout_masks`` (one :func:`draw_dropout_masks`
-    list per segment), or else draws them from ``rng``, segment by segment.
+    per-segment bool masks of ``dropout_masks`` (one :func:`draw_dropout_masks`
+    list per segment), each site's masks joined along time.
     """
     cfg = params.config
     packed = isinstance(x, (list, tuple))
@@ -264,16 +264,14 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
     keep = iter(())
     if train and cfg.dropout > 0.0:
         if dropout_masks is None:
-            if rng is None:
-                raise ValueError("training-mode forward needs an explicit rng for dropout")
-            dropout_masks = [draw_dropout_masks(cfg, t, params.dtype, rng) for t in lengths]
+            raise ValueError("a training-mode forward needs its dropout masks")
         if [len(m) for m in dropout_masks] != [3 * cfg.n_fft_blocks] * len(segments):
             raise ValueError(f"need {3 * cfg.n_fft_blocks} dropout masks for each of "
                              f"{len(segments)} segments")
         keep = (np.concatenate(site) if packed else site[0] for site in zip(*dropout_masks))
 
     h = Tensor(np.asarray(data, dtype=params.dtype))
-    h = nm.add(nm.matmul(h, params["in_proj.w"]), params["in_proj.b"])
+    h = nm.matmul(h, params["in_proj.w"], params["in_proj.b"])
     pos = [positional_encoding(t, cfg.hidden_dim, params.dtype) for t in lengths]
     h = nm.add(h, Tensor(np.concatenate(pos) if packed else pos[0]))
     for i in range(cfg.n_fft_blocks):
@@ -297,14 +295,14 @@ def pool(i_seq: Tensor, lengths=None) -> Tensor:
 def classify(params: ModelParams, h: Tensor) -> Tensor:
     """Affine map from the pooled vector (or rows of them) to emotion-class
     logits."""
-    return nm.add(nm.matmul(nm.as_tensor(h), params["cls.w"]), params["cls.b"])
+    return nm.matmul(nm.as_tensor(h), params["cls.w"], params["cls.b"])
 
 
 def project_score(params: ModelParams, h: Tensor) -> Tensor:
     """Two-layer projector (tanh between) mapping the pooled vector to the
     scalar rank score; (B, hidden) pooled rows give (B,) scores."""
-    hidden = nm.tanh(nm.add(nm.matmul(nm.as_tensor(h), params["proj.w1"]), params["proj.b1"]))
-    return nm.pick(nm.add(nm.matmul(hidden, params["proj.w2"]), params["proj.b2"]), 0)
+    hidden = nm.tanh(nm.matmul(nm.as_tensor(h), params["proj.w1"], params["proj.b1"]))
+    return nm.pick(nm.matmul(hidden, params["proj.w2"], params["proj.b2"]), 0)
 
 
 # ---------------------------------------------------------------------------

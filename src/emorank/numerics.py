@@ -18,6 +18,7 @@ its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -161,8 +162,14 @@ class ComputeGraph:
                 node._parents = ()
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether a gradient sent to ``t`` reaches a leaf: a closure may skip
+    forming an operand's gradient when it does not."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _accumulate(t: Tensor, g):
-    if not (t.requires_grad or t._parents):
+    if not _needs_grad(t):
         return
     if t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype, copy=True)
@@ -195,7 +202,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0) if row_broadcast else g)
+        if _needs_grad(b):
+            _accumulate(b, g.sum(axis=0) if row_broadcast else g)
 
     return _make(a.data + b.data, (a, b), "add", backward)
 
@@ -256,7 +264,7 @@ def scale(a: Tensor, s) -> Tensor:
 _GRAD_CHUNK_ROWS = 256
 
 
-def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _weight_grad(a, g: np.ndarray) -> np.ndarray:
     """``a.T @ g``, summed over fixed chunks of rows in a fixed order.
 
     A weight's gradient sums over every frame of a packed batch. Over a long
@@ -264,31 +272,49 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     counts, which changes the float rounding; chunks of at most
     ``_GRAD_CHUNK_ROWS`` rows keep gradients, and with them whole training
     runs, bitwise independent of the BLAS thread count.
+
+    ``a`` is an array, or a function ``(lo, hi) -> a[lo:hi]`` for a caller
+    that builds the rows chunk by chunk instead of holding all of them.
     """
+    rows = a if callable(a) else (lambda lo, hi: a[lo:hi])
     n = _GRAD_CHUNK_ROWS
-    out = a[:n].T @ g[:n]
-    for lo in range(n, a.shape[0], n):
-        out += a[lo:lo + n].T @ g[lo:lo + n]
+    out = rows(0, n).T @ g[:n]
+    for lo in range(n, g.shape[0], n):
+        out += rows(lo, lo + n).T @ g[lo:lo + n]
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 2-D operands; 1-D ``a`` acts as a row vector."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product for 2-D operands; 1-D ``a`` acts as a row vector.
+
+    ``bias``, a vector with one entry per column of ``b``, is added in place
+    to every row of the product: an affine layer is one op, and the graph
+    keeps no bare product beside the biased one. The backward pass forms an
+    operand's gradient only when some leaf receives it, so a constant input
+    (raw features, a one-hot matrix) costs no product.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim not in (1, 2) or b.data.ndim != 2:
         raise ValueError(f"matmul expects 1-D/2-D x 2-D, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
+    out_data = a.data @ b.data
+    if bias is not None:
+        if bias.shape != b.shape[1:]:
+            raise ValueError(f"matmul bias must be ({b.shape[1]},), got {bias.shape}")
+        out_data += bias.data
 
     def backward(g):
-        if a.data.ndim == 1:
-            _accumulate(a, b.data @ g)
-            _accumulate(b, np.outer(a.data, g))
-        else:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, _weight_grad(a.data, g))
+        row = a.data.ndim == 1
+        if _needs_grad(a):
+            _accumulate(a, b.data @ g if row else g @ b.data.T)
+        if _needs_grad(b):
+            _accumulate(b, np.outer(a.data, g) if row else _weight_grad(a.data, g))
+        if bias is not None and _needs_grad(bias):
+            _accumulate(bias, g if row else g.sum(axis=0))
 
-    return _make(a.data @ b.data, (a, b), "matmul", backward)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _make(out_data, parents, "matmul", backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -375,45 +401,61 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _make(np.clip(a.data, lo, hi), (a,), "clip", backward)
 
 
-def dropout_masks(shapes, p: float, rng: np.random.Generator, dtype) -> list[np.ndarray]:
-    """Inverted-dropout keep masks, one per shape: 1/(1-p) with probability
-    1-p, else 0. Not a tape op.
+# uniforms drawn per call while building dropout masks: the float64 scratch
+# they land in stays 512 KB however many masks one call draws
+_MASK_BLOCK = 1 << 16
 
-    One uniform per element is drawn from ``rng``, mask after mask, in a
-    single call: a generator fills consecutive calls and one call of their
-    total size with the same values, so this equals drawing the masks one
-    by one.
+
+def dropout_masks(shapes, p: float, rng: np.random.Generator) -> list[np.ndarray]:
+    """Inverted-dropout keep masks, one bool array per shape: True (keep)
+    where a uniform draw is >= p. Not a tape op.
+
+    One uniform per element is drawn from ``rng``, mask after mask, in
+    blocks of ``_MASK_BLOCK`` into one reused scratch array, each block
+    compared straight into one flat bool array. A generator fills
+    consecutive calls and one call of their total size with the same
+    values, so the masks and the generator's end state are those of one
+    ``rng.random(total)`` call, and of drawing the masks one by one.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    flat = (rng.random(sum(sizes)) >= p).astype(dtype) / (1.0 - p)
+    total = sum(sizes)
+    keep = np.empty(total, dtype=bool)
+    scratch = np.empty(min(total, _MASK_BLOCK))
+    for lo in range(0, total, _MASK_BLOCK):
+        u = scratch[:min(_MASK_BLOCK, total - lo)]
+        rng.random(out=u)
+        np.greater_equal(u, p, out=keep[lo:lo + u.size])
     masks, lo = [], 0
     for shape, size in zip(shapes, sizes):
-        masks.append(flat[lo:lo + size].reshape(shape))
+        masks.append(keep[lo:lo + size].reshape(shape))
         lo += size
     return masks
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator | None = None, *,
-            keep: np.ndarray | None = None) -> Tensor:
+def dropout(a: Tensor, p: float, *, keep: np.ndarray) -> Tensor:
     """Inverted dropout: keep with probability 1-p and rescale, so eval mode
-    needs no correction. Deterministic given the generator state.
+    needs no correction.
 
-    ``keep`` applies a mask drawn earlier by :func:`dropout_masks` instead of
-    drawing one from ``rng``.
+    ``keep`` is a bool mask of ``a``'s shape drawn by :func:`dropout_masks`.
+    Kept elements are multiplied by ``c = 1/(1-p)`` in ``a``'s dtype; the
+    float mask ``keep * c`` lives only while the forward and the backward
+    product are formed, so the graph holds one byte per element.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return a
-    if keep is None:
-        keep = dropout_masks([a.shape], p, rng, a.data.dtype)[0]
-    elif keep.shape != a.shape:
+    if keep.shape != a.shape:
         raise ValueError(f"dropout mask shape {keep.shape} does not match {a.shape}")
+    if keep.dtype != np.bool_:
+        raise ValueError(f"dropout mask must be bool, got {keep.dtype}")
+    dtype = a.data.dtype.type
+    c = dtype(1) / dtype(1 - p)
 
     def backward(g):
-        _accumulate(a, g * keep)
+        _accumulate(a, g * (keep * c))
 
-    return _make(a.data * keep, (a,), "dropout", backward)
+    return _make(a.data * (keep * c), (a,), "dropout", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +554,28 @@ def _cross_taps(lengths, t_len: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero((src < lo) | (src >= hi))
 
 
-def _im2col(x: np.ndarray, k: int, cross) -> np.ndarray:
-    """The (T, K*C_in) tap matrix of a "same" convolution over ``x``: row t
-    holds the K input rows around frame t, zero where a tap reads the
-    padding or, at the ``cross`` (frame, tap) pairs, a neighbouring segment.
-    A one-tap kernel reads no neighbours: its tap matrix is ``x`` itself."""
-    if k == 1:
-        return x
+def _im2col(x: np.ndarray, k: int, cross, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The (T, K*C_in) tap matrix of a "same" convolution over ``x``, or its
+    rows [lo, hi): row t holds the K input rows around frame t, zero where a
+    tap reads the padding or, at the ``cross`` (frame, tap) pairs, a
+    neighbouring segment. A one-tap kernel reads no neighbours: its tap
+    matrix is ``x`` itself."""
     t_len, c_in = x.shape
+    hi = t_len if hi is None else min(hi, t_len)
+    if k == 1:
+        return x[lo:hi]
     pad_lo = (k - 1) // 2
-    padded = np.zeros((t_len + k - 1, c_in), dtype=x.dtype)
-    padded[pad_lo:pad_lo + t_len] = x
-    # (T, K, Cin): row t holds the K taps around frame t
+    # padded row r holds input row lo - pad_lo + r, zero outside x
+    padded = np.zeros((hi - lo + k - 1, c_in), dtype=x.dtype)
+    src_lo, src_hi = max(lo - pad_lo, 0), min(hi - pad_lo + k - 1, t_len)
+    padded[src_lo - lo + pad_lo:src_hi - lo + pad_lo] = x[src_lo:src_hi]
+    # (hi - lo, K, Cin): row t holds the K taps around frame lo + t
     cols = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
     cols = cols.transpose(0, 2, 1).copy()
-    cols[cross] = 0.0
-    return cols.reshape(t_len, k * c_in)
+    frames, taps = cross  # sorted by frame
+    first, last = np.searchsorted(frames, (lo, hi))
+    cols[frames[first:last] - lo, taps[first:last]] = 0.0
+    return cols.reshape(hi - lo, k * c_in)
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
@@ -539,8 +587,11 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     convolved independently: each segment is zero padded at both ends, so no
     output frame reads a neighbouring segment. Implemented as one im2col
     matmul over all segments so BLAS does the heavy lifting, and the kernel
-    gradient is one matmul too. The backward pass rebuilds the im2col matrix
-    from ``x`` rather than keeping it alive between the passes.
+    gradient is one matmul too. ``bias`` is added to the product in place.
+    The backward pass rebuilds the im2col matrix from ``x``, one
+    weight-gradient chunk of rows at a time, rather than keeping it alive
+    between the passes, and forms only the gradients that some leaf
+    receives.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ValueError(f"conv1d expects (T,Cin) x (K,Cin,Cout), got {x.shape} x {kernel.shape}")
@@ -556,14 +607,18 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None:
         if bias.shape != (c_out,):
             raise ValueError(f"conv1d bias must be ({c_out},), got {bias.shape}")
-        out_data = out_data + bias.data
+        out_data += bias.data
 
     def backward(g):
-        cols = _im2col(x.data, k, cross)
-        _accumulate(kernel, _weight_grad(cols, g).reshape(k, c_in, c_out))
-        del cols  # gcols below is as large; keep only one of them alive
-        if bias is not None:
+        if _needs_grad(kernel):
+            # the columns are rebuilt one gradient chunk at a time: the same
+            # rows in the same layout as slices of the whole matrix
+            cols = functools.partial(_im2col, x.data, k, cross)
+            _accumulate(kernel, _weight_grad(cols, g).reshape(k, c_in, c_out))
+        if bias is not None and _needs_grad(bias):
             _accumulate(bias, g.sum(axis=0))
+        if not _needs_grad(x):
+            return
         gcols = g @ w2d.T
         if k == 1:
             _accumulate(x, gcols)
@@ -738,6 +793,11 @@ def pick(a: Tensor, index) -> Tensor:
 # optimizer
 
 
+# elements per block of an Adam update: its two scratch blocks take 512 KB
+# in float32, however large the largest parameter is
+_ADAM_BLOCK = 1 << 16
+
+
 class AdamState:
     """First/second moment buffers plus the bias-correction step counter."""
 
@@ -745,16 +805,24 @@ class AdamState:
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.step = 0
-        self._work: dict = {}  # dtype -> two flat scratch buffers reused every step
+        self._work: dict = {}  # dtype -> two scratch blocks reused every step
 
     def _work_buffers(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two scratch arrays shaped like ``like``, sharing memory across steps
-        and parameters (grown to the largest parameter)."""
+        """Two scratch blocks of ``like``'s dtype, sharing memory across steps
+        and parameters (grown to at most ``_ADAM_BLOCK`` elements)."""
+        size = min(like.size, _ADAM_BLOCK)
         bufs = self._work.get(like.dtype)
-        if bufs is None or bufs[0].size < like.size:
-            bufs = self._work[like.dtype] = (np.empty(like.size, like.dtype),
-                                             np.empty(like.size, like.dtype))
-        return tuple(b[:like.size].reshape(like.shape) for b in bufs)
+        if bufs is None or bufs[0].size < size:
+            bufs = self._work[like.dtype] = (np.empty(size, like.dtype),
+                                             np.empty(size, like.dtype))
+        return bufs
+
+
+def _flat_view(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a 1-D view, so that writing to it updates ``arr``."""
+    if not arr.flags.c_contiguous:
+        raise ValueError("Adam updates C-contiguous parameters and moments in place")
+    return arr.reshape(-1)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
@@ -767,8 +835,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
 
     Every element goes through the same operation sequence as
     ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)`` and
-    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, but into reused
-    buffers, so the result is bitwise that formula's without its temporaries.
+    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, but block by block
+    (``_ADAM_BLOCK`` elements) into two reused scratch blocks, so the result
+    is bitwise that formula's without its parameter-sized temporaries.
     """
     state.step += 1
     t = state.step
@@ -780,23 +849,26 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
             continue
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
-        m = state.m[name]
-        v = state.v[name]
-        a, b = state._work_buffers(m)
-        np.subtract(g, m, out=a)
-        np.multiply(a, 1.0 - beta1, out=a)
-        m += a
-        np.multiply(g, g, out=a)
-        np.subtract(a, v, out=a)
-        np.multiply(a, 1.0 - beta2, out=a)
-        v += a
-        np.divide(m, bc1, out=a)
-        np.multiply(a, lr, out=a)
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        np.add(b, eps, out=b)
-        np.divide(a, b, out=a)
-        p.data -= a
+        flat = (np.ravel(g), _flat_view(state.m[name]), _flat_view(state.v[name]),
+                _flat_view(p.data))
+        work = state._work_buffers(p.data)
+        for lo in range(0, g.size, _ADAM_BLOCK):
+            gb, m, v, pb = (x[lo:lo + _ADAM_BLOCK] for x in flat)
+            a, b = (w[:gb.size] for w in work)
+            np.subtract(gb, m, out=a)
+            np.multiply(a, 1.0 - beta1, out=a)
+            m += a
+            np.multiply(gb, gb, out=a)
+            np.subtract(a, v, out=a)
+            np.multiply(a, 1.0 - beta2, out=a)
+            v += a
+            np.divide(m, bc1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            pb -= a
     return params, state
 
 

@@ -228,8 +228,7 @@ def _batch_losses(params: ModelParams, corpus: Corpus, cfg: TrainConfig,
         diag.append((x_emo.source_id, x_neu.source_id, pair.lambda_i, pair.lambda_j))
         # mixture i's masks, then mixture j's: the draws of a forward per mixture
         t_len = pair.x_mix_i.shape[0]
-        masks += [draw_dropout_masks(params.config, t_len, params.dtype, rng)
-                  for _ in range(2)]
+        masks += [draw_dropout_masks(params.config, t_len, rng) for _ in range(2)]
         pairs.append(pair)
     return pair_losses(params, pairs, dropout_masks=masks)
 
@@ -283,11 +282,14 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
         rng = iteration_rng(train_cfg.seed, k)
         diag: list = []
         try:
+            # the previous step's gradients go before the forward, not after:
+            # nothing reads them once Adam has run, and the forward's end
+            # holds every activation
+            params.zero_grads()
             l_mix, l_rank = _batch_losses(params, corpus, train_cfg, rng, diag)
             l_total = total_loss(l_mix, l_rank, weights)
             if not np.isfinite(l_total.item()):
                 raise NonFiniteError("loss is not finite")
-            params.zero_grads()
             l_total.backward()
             nm.adam_step(params.tensors, params.grads(), adam,
                          train_cfg.learning_rate)

@@ -12,6 +12,7 @@ from emorank import cli, training
 from emorank.binio import SectionWriter, atomic_write
 from emorank.cli import main, write_provenance
 from emorank.codebook import IntensityCodebook, save_codebook
+from emorank.evalmetrics import MetricReport
 from emorank.extractor import ExtractorConfig, init_params, save_model
 from emorank.features import write_emof
 from emorank.numerics import AdamState
@@ -98,6 +99,20 @@ def _emof(path, fail, monkeypatch):
     write_emof(path, np.ones((4, 3)), 100.0, "angry", "spk", "u")
 
 
+def _mcd(path, fail, monkeypatch):
+    # the inputs and the provenance sidecar are stubbed: the sidecar has its
+    # own case, and only the report is written here
+    frames = np.abs(np.random.default_rng(0).normal(size=(6, 24))) + 0.1
+    monkeypatch.setattr(cli, "read_emof", lambda p: (frames, 100.0, "angry", "spk", p))
+    monkeypatch.setattr(cli, "sha256_file", lambda p: p)
+    monkeypatch.setattr(cli, "write_provenance", lambda *args: None)
+    if fail:
+        # an unserializable item id fails while the report is being written
+        monkeypatch.setattr(cli, "mcd_report",
+                            lambda pairs: MetricReport("MCD", 1.0, "dB", 1, [(object(), 1.0)]))
+    assert main(["mcd", "a.emof", "b.emof", "--out", str(path)]) == 0
+
+
 class Unprintable:
     def __float__(self):
         raise Boom
@@ -119,6 +134,7 @@ def _trace_csv(path, fail, monkeypatch):
     ("m.emom.provenance.json", _provenance),
     ("u.emof", _emof),
     ("loss.csv", _trace_csv),
+    ("mcd.json", _mcd),
 ])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, write):
     path = tmp_path / name

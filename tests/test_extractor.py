@@ -5,7 +5,7 @@ import pytest
 
 from emorank.binio import ChecksumError, FileFormatError
 from emorank.extractor import (ExtractorConfig, ModelParams, _expected_shapes,
-                               classify, forward_intensity, init_params,
+                               classify, draw_dropout_masks, forward_intensity, init_params,
                                load_model, load_model_with_meta, params_digest,
                                pool, positional_encoding, project_score,
                                save_model)
@@ -115,14 +115,16 @@ def test_train_mode_requires_rng_and_applies_dropout():
     x = frames()
     with pytest.raises(ValueError):
         forward_intensity(params, x, 1, train=True)
+
+    def train_forward(seed):
+        masks = draw_dropout_masks(params.config, len(x), np.random.default_rng(seed))
+        return forward_intensity(params, x, 1, train=True, dropout_masks=[masks]).data
+
     eval_out = forward_intensity(params, x, 1).data
-    train_out = forward_intensity(params, x, 1, train=True,
-                                  rng=np.random.default_rng(0)).data
+    train_out = train_forward(0)
     assert not np.array_equal(eval_out, train_out)
     # and training-mode forward is reproducible given the same rng state
-    again = forward_intensity(params, x, 1, train=True,
-                              rng=np.random.default_rng(0)).data
-    assert train_out.tobytes() == again.tobytes()
+    assert train_out.tobytes() == train_forward(0).tobytes()
 
 
 def test_zero_dropout_train_equals_eval():

@@ -131,16 +131,60 @@ def test_take_rows_forward_and_range():
 
 def test_dropout_eval_identity_and_scaling():
     x = Tensor(np.ones((50, 20)))
-    assert nm.dropout(x, 0.0, np.random.default_rng(0)) is x
-    out = nm.dropout(x, 0.5, np.random.default_rng(0)).data
-    assert set(np.unique(out)) <= {0.0, 2.0}
+    keep = nm.dropout_masks([x.shape], 0.5, np.random.default_rng(0))[0]
+    assert nm.dropout(x, 0.0, keep=keep) is x
+    out = nm.dropout(x, 0.5, keep=keep).data
+    assert set(np.unique(out)) == {0.0, 2.0}
 
 
 def test_dropout_deterministic_given_seed():
     x = Tensor(np.ones((30, 10)))
-    a = nm.dropout(x, 0.3, np.random.default_rng(7)).data
-    b = nm.dropout(x, 0.3, np.random.default_rng(7)).data
+    a, b = (nm.dropout(x, 0.3, keep=nm.dropout_masks([x.shape], 0.3,
+                                                      np.random.default_rng(7))[0]).data
+            for _ in range(2))
     np.testing.assert_array_equal(a, b)
+
+
+def _float_mask(keep, p, dtype):
+    """The float keep mask dropout applied before masks were bool: 1/(1-p)
+    where kept, else 0."""
+    return keep.astype(dtype) / (1.0 - p)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, "3x+5"])
+def test_dropout_masks_equal_one_uniform_draw_across_blocks(extra):
+    block = nm._MASK_BLOCK
+    total = 3 * block + 5 if extra == "3x+5" else block + extra
+    shapes = [(5, 4), (1,), (total - 30, 1), (3, 3)]
+    masks = nm.dropout_masks(shapes, 0.3, np.random.default_rng(17))
+    rng = np.random.default_rng(17)
+    flat = rng.random(total) >= 0.3
+    assert [m.shape for m in masks] == shapes
+    assert all(m.dtype == np.bool_ for m in masks)
+    np.testing.assert_array_equal(np.concatenate([m.reshape(-1) for m in masks]), flat)
+    # the generator ends where one rng.random(total) call leaves it
+    rng_after = np.random.default_rng(17)
+    nm.dropout_masks(shapes, 0.3, rng_after)
+    assert rng_after.random() == rng.random()
+
+
+# at p = 0.09, 1/(1-p) rounded once to float32 differs from the float32
+# quotient the float mask held
+@pytest.mark.parametrize("p", [0.09, 0.1, 0.3, 0.7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bool_mask_dropout_equals_the_float_mask_product_bitwise(dtype, p):
+    rng = np.random.default_rng(23)
+    x_data = rng.normal(size=(40, 24)).astype(dtype)
+    seed = rng.normal(size=(40, 24)).astype(dtype)
+    keep = nm.dropout_masks([x_data.shape], p, rng)[0]
+    x = Tensor(x_data.copy(), requires_grad=True)
+    out = nm.dropout(x, p, keep=keep)
+    out.backward(seed)
+    mask = _float_mask(keep, p, dtype)
+    assert out.data.dtype == x.grad.dtype == mask.dtype == dtype
+    # bytes, not values: the sign of every zero must agree too
+    assert out.data.tobytes() == (x_data * mask).tobytes()
+    assert x.grad.tobytes() == (seed * mask).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +198,51 @@ def test_matmul_grad(seed):
     b = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     fd_check(lambda: weighted_sum(nm.matmul(a, b), 99),
              [a, b], tol=1e-5)
+
+
+@pytest.mark.parametrize("a_shape", [(4, 6), (6,)])
+def test_matmul_bias_grad(a_shape):
+    rng = np.random.default_rng(len(a_shape))
+    a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+    b = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=3), requires_grad=True)
+    np.testing.assert_array_equal(nm.matmul(a, b, bias).data, a.data @ b.data + bias.data)
+    fd_check(lambda: weighted_sum(nm.matmul(a, b, bias), 98), [a, b, bias], tol=1e-5)
+    with pytest.raises(ValueError):
+        nm.matmul(a, b, Tensor(np.zeros(6)))
+
+
+def test_gradients_nobody_receives_are_not_formed(monkeypatch):
+    rng = np.random.default_rng(31)
+    const2d, const1d = Tensor(rng.normal(size=(7, 4))), Tensor(rng.normal(size=4))
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=3), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(3, 4, 3)), requires_grad=True)
+    const_kernel, const_row = Tensor(kernel.data.copy()), Tensor(rng.normal(size=4))
+    x = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    cases = [
+        (lambda: nm.matmul(const2d, w, bias), [const2d], [w, bias]),
+        (lambda: nm.matmul(const1d, w, bias), [const1d], [w, bias]),
+        (lambda: nm.matmul(x, Tensor(w.data.copy())), [], [x]),
+        (lambda: nm.conv1d(const2d, kernel, bias, [3, 4]), [const2d], [kernel, bias]),
+        (lambda: nm.conv1d(x, const_kernel, None, [3, 4]), [const_kernel], [x]),
+        (lambda: nm.add(x, const_row), [const_row], [x]),
+    ]
+    accumulate = nm._accumulate
+    for build, constants, trainable in cases:
+        out = build()
+        reference = {id(t): nm.finite_difference_grad(lambda: weighted_sum(build(), 3).item(), t)
+                     for t in trainable}
+        for t in trainable:
+            t.zero_grad()
+        sent = []
+        monkeypatch.setattr(nm, "_accumulate", lambda t, g: (sent.append(t), accumulate(t, g)))
+        weighted_sum(out, 3).backward()
+        monkeypatch.setattr(nm, "_accumulate", accumulate)
+        assert not any(t is c for t in sent for c in constants)
+        assert all(c.grad is None for c in constants)
+        for t in trainable:
+            np.testing.assert_allclose(t.grad, reference[id(t)], rtol=1e-6, atol=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -310,15 +399,17 @@ def test_row_pick_and_array_scale_grads():
 
 
 def test_dropout_masks_draw_like_consecutive_dropouts():
-    masks = nm.dropout_masks([(3, 4), (3, 5)], 0.3, np.random.default_rng(9), np.float32)
+    masks = nm.dropout_masks([(3, 4), (3, 5)], 0.3, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     for m in masks:
-        ones = Tensor(np.ones(m.shape, dtype=np.float32))
-        np.testing.assert_array_equal(nm.dropout(ones, 0.3, rng).data, m)
-    x = Tensor(np.ones((3, 4)))
-    np.testing.assert_array_equal(nm.dropout(x, 0.3, keep=masks[0]).data, masks[0])
+        np.testing.assert_array_equal(nm.dropout_masks([m.shape], 0.3, rng)[0], m)
+    x = Tensor(np.ones((3, 4), dtype=np.float32))
+    np.testing.assert_array_equal(nm.dropout(x, 0.3, keep=masks[0]).data,
+                                  _float_mask(masks[0], 0.3, np.float32))
     with pytest.raises(ValueError):
         nm.dropout(x, 0.3, keep=masks[1])
+    with pytest.raises(ValueError):
+        nm.dropout(x, 0.3, keep=_float_mask(masks[0], 0.3, np.float32))
 
 
 def test_slice_concat_transpose_pick_grads():
@@ -354,7 +445,7 @@ def test_mean_over_time_grad():
 
 def test_dropout_grad_matches_mask():
     x = Tensor(np.ones((20, 10)), requires_grad=True)
-    out = nm.dropout(x, 0.4, np.random.default_rng(5))
+    out = nm.dropout(x, 0.4, keep=nm.dropout_masks([x.shape], 0.4, np.random.default_rng(5))[0])
     nm.sum_all(out).backward()
     # gradient is exactly the applied keep/rescale mask
     np.testing.assert_array_equal(x.grad, out.data)
@@ -478,21 +569,17 @@ def _adam_reference(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_in_place_update_is_bitwise_the_formula(dtype):
-    rng = np.random.default_rng(11)
-    shapes = {"w": (5, 7), "b": (7,), "k": (3, 2, 4)}
-
+def _assert_adam_is_bitwise_the_formula(shapes, dtype, steps):
     def fresh():
+        rng_init = np.random.default_rng(12)
         params = {n: Tensor(rng_init.normal(size=s).astype(dtype), requires_grad=True)
                   for n, s in shapes.items()}
         return params, AdamState(params)
 
-    rng_init = np.random.default_rng(12)
+    rng = np.random.default_rng(11)
     p_new, s_new = fresh()
-    rng_init = np.random.default_rng(12)
     p_ref, s_ref = fresh()
-    for _ in range(29):
+    for _ in range(steps):
         grads = {n: (rng.normal(size=s) * 10.0 ** rng.integers(-4, 3)).astype(dtype)
                  for n, s in shapes.items()}
         adam_step(p_new, grads, s_new, lr=3e-3)
@@ -502,6 +589,24 @@ def test_adam_in_place_update_is_bitwise_the_formula(dtype):
         np.testing.assert_array_equal(p_new[n].data, p_ref[n].data)
         np.testing.assert_array_equal(s_new.m[n], s_ref.m[n])
         np.testing.assert_array_equal(s_new.v[n], s_ref.v[n])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_update_is_bitwise_the_formula(dtype):
+    _assert_adam_is_bitwise_the_formula({"w": (5, 7), "b": (7,), "k": (3, 2, 4)}, dtype, 29)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_blocks_are_bitwise_the_whole_array_formula(dtype):
+    n = nm._ADAM_BLOCK
+    shapes = {"below": (n - 1,), "at": (n,), "above": (n + 1,), "many": (3, n // 2 + 3),
+              "one": (1,)}
+    _assert_adam_is_bitwise_the_formula(shapes, dtype, 5)
+    # the scratch is one block, not the largest parameter
+    state = AdamState({name: Tensor(np.zeros(s, dtype)) for name, s in shapes.items()})
+    adam_step({"many": Tensor(np.zeros(shapes["many"], dtype))},
+              {"many": np.ones(shapes["many"], dtype)}, state, lr=1e-3)
+    assert [b.size for b in state._work[np.dtype(dtype)]] == [n, n]
 
 
 def test_finite_difference_restores_values():

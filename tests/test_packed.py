@@ -3,9 +3,11 @@
 The reference below is the per-mixture forward and per-pair objective the
 packed path replaced, kept here only as an oracle: per-head attention built
 from slice/transpose/softmax/concat ops, one forward per mixture, dropout
-masks drawn while the forward runs, and the batch mean as a chain of adds.
-Two more oracles cover the memory of a training step: a ``conv1d`` that
-keeps its im2col columns for the backward pass, and a backward sweep that
+masks drawn while the forward runs, affine layers as a product plus a
+separate bias add, and the batch mean as a chain of adds. More oracles
+cover the memory of a training step: a ``conv1d`` that keeps its im2col
+columns for the backward pass, a ``matmul`` that forms both operands'
+gradients whether or not a leaf receives them, and a backward sweep that
 leaves the graph intact.
 """
 
@@ -35,7 +37,9 @@ from emorank.training import (TrainConfig, _batch_losses, compute_feature_stats,
 
 
 def _ref_dropout(x, cfg, train, rng):
-    return nm.dropout(x, cfg.dropout, rng) if train and cfg.dropout > 0.0 else x
+    if not (train and cfg.dropout > 0.0):
+        return x
+    return nm.dropout(x, cfg.dropout, keep=nm.dropout_masks([x.shape], cfg.dropout, rng)[0])
 
 
 def _ref_attention(params, prefix, x, train, rng):
@@ -134,6 +138,21 @@ def _ref_conv1d(x, kernel, bias=None, lengths=None):
     return nm._make(out_data, parents, "conv1d", backward)
 
 
+def _ref_matmul(a, b, bias=None):
+    """Matrix product that forms both operands' gradients even when no leaf
+    receives them, with its bias added by a separate ``add`` op."""
+    def backward(g):
+        if a.data.ndim == 1:
+            nm._accumulate(a, b.data @ g)
+            nm._accumulate(b, np.outer(a.data, g))
+        else:
+            nm._accumulate(a, g @ b.data.T)
+            nm._accumulate(b, nm._weight_grad(a.data, g))
+
+    out = nm._make(a.data @ b.data, (a, b), "matmul", backward)
+    return out if bias is None else nm.add(out, bias)
+
+
 def _intact_backward(root):
     """The backward sweep that leaves every node's grad, closure and inputs
     in place."""
@@ -218,19 +237,21 @@ def test_packed_forward_equals_separate_forwards():
 
 def test_presampled_masks_equal_masks_drawn_by_the_forward():
     corpus, params = ragged_setup()
-    xs = [corpus.utterances[i].frames for i in (1, 2)]
-    drawn = forward_intensity(params, xs, [1, 1], train=True,
-                              rng=np.random.default_rng(5)).data
-    rng = np.random.default_rng(5)
-    masks = [draw_dropout_masks(params.config, len(x), params.dtype, rng) for x in xs]
-    given = forward_intensity(params, xs, [1, 1], train=True, dropout_masks=masks).data
-    np.testing.assert_array_equal(given, drawn)
-    # the same values a forward drawing mask by mask with nm.dropout would use
-    rng = np.random.default_rng(5)
     cfg = params.config
-    for m in masks[0]:
-        ones = Tensor(np.ones(m.shape, dtype=params.dtype))
-        np.testing.assert_array_equal(nm.dropout(ones, cfg.dropout, rng).data, m)
+    xs = [corpus.utterances[i].frames for i in (1, 2)]
+    rng = np.random.default_rng(5)
+    masks = [draw_dropout_masks(cfg, len(x), rng) for x in xs]
+    # the values a forward drawing mask by mask, segment by segment, would use
+    rng = np.random.default_rng(5)
+    for segment in masks:
+        for m in segment:
+            np.testing.assert_array_equal(nm.dropout_masks([m.shape], cfg.dropout, rng)[0], m)
+    given = forward_intensity(params, xs, [1, 1], train=True, dropout_masks=masks).data
+    lo = 0
+    for x, segment in zip(xs, masks):
+        alone = forward_intensity(params, x, 1, train=True, dropout_masks=[segment]).data
+        np.testing.assert_allclose(given[lo:lo + len(x)], alone, rtol=0, atol=1e-12)
+        lo += len(x)
     with pytest.raises(ValueError):
         forward_intensity(params, xs, [1, 1], train=True, dropout_masks=masks[:1])
 
@@ -299,8 +320,27 @@ def test_conv1d_output_keeps_no_im2col_columns():
     assert kept - out.data.nbytes < cols_nbytes // 10, (kept, out.data.nbytes)
 
 
+def test_conv1d_backward_builds_its_columns_one_chunk_at_a_time(monkeypatch):
+    rng = np.random.default_rng(13)
+    lengths = [300, 250, 450]
+    t_len, c_in, k, c_out = sum(lengths), 6, 9, 4
+    x = Tensor(rng.normal(size=(t_len, c_in)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(k, c_in, c_out)), requires_grad=True)
+    out = nm.conv1d(x, kernel, None, lengths)
+    built, im2col = [], nm._im2col
+
+    def recording_im2col(*args):
+        cols = im2col(*args)
+        built.append(cols.shape[0])
+        return cols
+
+    monkeypatch.setattr(nm, "_im2col", recording_im2col)
+    out.backward(rng.normal(size=(t_len, c_out)))
+    assert sum(built) == t_len and max(built) <= nm._GRAD_CHUNK_ROWS, built
+
+
 # ---------------------------------------------------------------------------
-# the backward sweep releases the tape
+# the backward sweep releases the tape and forms only the gradients it needs
 
 
 def _packed_total_loss(params, corpus, iteration=0):
@@ -327,6 +367,55 @@ def test_backward_releases_the_tape_and_keeps_the_leaf_grads(dtype):
     assert_grads_bitwise_equal({name: t.grad for name, t in params.tensors.items()}, ref)
     # a second forward and backward give the same leaf grads
     assert_grads_bitwise_equal(grads_of(params, _packed_total_loss(params, corpus)), ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaf_grads_equal_the_always_forming_unfolded_ops_bitwise(monkeypatch, dtype):
+    corpus, params = ragged_setup(dtype)
+    grads = grads_of(params, _packed_total_loss(params, corpus))
+    monkeypatch.setattr(nm, "matmul", _ref_matmul)
+    monkeypatch.setattr(nm, "conv1d", _ref_conv1d)
+    assert_grads_bitwise_equal(grads, grads_of(params, _packed_total_loss(params, corpus)))
+
+
+def test_constant_matmul_inputs_get_no_gradient(monkeypatch):
+    corpus, params = ragged_setup()
+    constants, sent = [], []
+    matmul, accumulate = nm.matmul, nm._accumulate
+
+    def recording_matmul(a, b, bias=None):
+        if not (a.requires_grad or a._parents):
+            constants.append(a)
+        return matmul(a, b, bias)
+
+    def recording_accumulate(t, g):
+        sent.append(t)
+        accumulate(t, g)
+
+    monkeypatch.setattr(nm, "matmul", recording_matmul)
+    monkeypatch.setattr(nm, "_accumulate", recording_accumulate)
+    grads = grads_of(params, _packed_total_loss(params, corpus))
+    # the raw features entering in_proj and the one-hot class matrix
+    assert [c.shape[1] for c in constants] == [params.config.input_dim,
+                                               params.config.n_emotion_classes]
+    assert not any(t is c for t in sent for c in constants)
+    assert all(c.grad is None for c in constants)
+    assert all(g is not None for g in grads.values())
+
+
+def test_previous_step_gradients_are_released_before_the_forward(monkeypatch):
+    corpus, params = ragged_setup(np.float32)
+    released, forward = [], training.forward_intensity
+
+    def checking_forward(params, *args, **kwargs):
+        released.append(all(t.grad is None for t in params.tensors.values()))
+        return forward(params, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_intensity", checking_forward)
+    training.train_rank_model(corpus, params.config, TrainConfig(
+        iterations=3, batch_pairs=2, seed=0), params=params)
+    assert released == [True, True, True]
+    assert all(t.grad is not None for t in params.tensors.values())
 
 
 def test_backward_returns_memory_to_the_pre_forward_level():
