@@ -58,7 +58,7 @@ class SectionWriter:
         self._fh = fh
         self._crc = 0
 
-    def write(self, payload: bytes):
+    def write(self, payload: bytes | memoryview):
         self._fh.write(payload)
         self._crc = zlib.crc32(payload, self._crc)
 

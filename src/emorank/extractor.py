@@ -211,11 +211,15 @@ def _self_attention(params: ModelParams, prefix: str, x: Tensor, lengths, keep) 
 
 
 def _conv_ff(params: ModelParams, prefix: str, x: Tensor, lengths, keep) -> Tensor:
+    """conv1 -> ReLU -> dropout -> conv2 -> dropout as two ``conv1d`` ops:
+    the ReLU and each dropout are in-place epilogues of the conv before
+    them, so the graph keeps one (T, filter) activation per block. In eval
+    mode ``keep`` yields no masks and nothing is dropped."""
     cfg = params.config
-    c = nm.relu(nm.conv1d(x, params[prefix + "conv1.w"], params[prefix + "conv1.b"], lengths))
-    c = _dropout(c, cfg, keep)
-    c = nm.conv1d(c, params[prefix + "conv2.w"], params[prefix + "conv2.b"], lengths)
-    return _dropout(c, cfg, keep)
+    c = nm.conv1d(x, params[prefix + "conv1.w"], params[prefix + "conv1.b"], lengths,
+                  relu=True, p=cfg.dropout, keep=next(keep, None))
+    return nm.conv1d(c, params[prefix + "conv2.w"], params[prefix + "conv2.b"], lengths,
+                     p=cfg.dropout, keep=next(keep, None))
 
 
 def _fft_block(params: ModelParams, index: int, x: Tensor, lengths, keep) -> Tensor:
@@ -324,7 +328,9 @@ def write_tensor_table(w: SectionWriter, entries: dict[str, np.ndarray]):
         w.write_u32(arr.ndim)
         for dim in arr.shape:
             w.write_u32(dim)
-        w.write(np.ascontiguousarray(arr).astype("<" + tag, copy=False).tobytes())
+        # the array's own buffer, not a bytes copy of it
+        payload = np.ascontiguousarray(arr).astype("<" + tag, copy=False)
+        w.write(memoryview(payload.reshape(-1)).cast("B"))
 
 
 def read_tensor_table(r: SectionReader) -> dict[str, np.ndarray]:

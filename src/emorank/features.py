@@ -293,7 +293,7 @@ def write_emof(path, frames: np.ndarray, frame_rate_hz: float,
         w.write_str(emotion_label)
         w.write_str(speaker_id)
         w.write_str(source_id)
-        w.write(frames.astype("<f4").tobytes())
+        w.write(memoryview(frames.astype("<f4", copy=False).reshape(-1)).cast("B"))
         w.finish()
 
 

@@ -8,8 +8,9 @@ requires them. The sweep uses the graph up as it goes: each op output drops
 its gradient, its backward closure and its inputs once its closure has run,
 so only leaves keep gradients afterwards, and a swept graph cannot be
 backpropagated again. The op surface is deliberately small: what the intensity
-extractor and its losses need, plus the per-head attention ops (slice,
-transpose, softmax, concat) that the fused attention op is tested against.
+extractor and its losses need, plus the ops the fused ones are tested
+against: the per-head attention ops (slice, transpose, softmax, concat) for
+``attention`` and ``relu`` for the ``conv1d`` epilogue.
 
 Float64 is the oracle precision (all finite-difference checks run in it);
 float32 is supported for training throughput. An op inherits the dtype of
@@ -168,11 +169,19 @@ def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
-def _accumulate(t: Tensor, g):
+def _accumulate(t: Tensor, g, fresh: bool = False):
+    """Add ``g`` into ``t.grad``. The first gradient stored for ``t`` is a
+    copy, unless ``fresh`` says the caller has just created ``g`` and keeps
+    no other reference to it: then ``g`` itself becomes ``t.grad``. A closure
+    that passes on its incoming gradient, or a view of it, leaves ``fresh``
+    off, so no two tensors ever share a gradient buffer."""
     if not _needs_grad(t):
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        if fresh and isinstance(g, np.ndarray) and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
     else:
         t.grad += g
 
@@ -203,7 +212,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, g)
         if _needs_grad(b):
-            _accumulate(b, g.sum(axis=0) if row_broadcast else g)
+            _accumulate(b, g.sum(axis=0) if row_broadcast else g, fresh=row_broadcast)
 
     return _make(a.data + b.data, (a, b), "add", backward)
 
@@ -217,7 +226,7 @@ def add_const(a: Tensor, c: float) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, -g)
+        _accumulate(a, -g, fresh=True)
 
     return _make(-a.data, (a,), "neg", backward)
 
@@ -232,8 +241,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(a, g * b.data, fresh=True)
+        _accumulate(b, g * a.data, fresh=True)
 
     return _make(a.data * b.data, (a, b), "mul", backward)
 
@@ -249,7 +258,7 @@ def scale(a: Tensor, s) -> Tensor:
             raise ValueError(f"scale shape mismatch: {a.shape} vs {s.shape}")
 
     def backward(g):
-        _accumulate(a, g * s)
+        _accumulate(a, g * s, fresh=True)
 
     return _make(a.data * s, (a,), "scale", backward)
 
@@ -307,11 +316,12 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(g):
         row = a.data.ndim == 1
         if _needs_grad(a):
-            _accumulate(a, b.data @ g if row else g @ b.data.T)
+            _accumulate(a, b.data @ g if row else g @ b.data.T, fresh=True)
         if _needs_grad(b):
-            _accumulate(b, np.outer(a.data, g) if row else _weight_grad(a.data, g))
+            _accumulate(b, np.outer(a.data, g) if row else _weight_grad(a.data, g),
+                        fresh=True)
         if bias is not None and _needs_grad(bias):
-            _accumulate(bias, g if row else g.sum(axis=0))
+            _accumulate(bias, g if row else g.sum(axis=0), fresh=not row)
 
     parents = (a, b) if bias is None else (a, b, bias)
     return _make(out_data, parents, "matmul", backward)
@@ -331,7 +341,7 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[..., lo:hi] = g
-        _accumulate(a, full)
+        _accumulate(a, full, fresh=True)
 
     return _make(a.data[..., lo:hi].copy(), (a,), "slice_cols", backward)
 
@@ -356,7 +366,7 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * mask, fresh=True)
 
     return _make(a.data * mask, (a,), "relu", backward)
 
@@ -365,7 +375,7 @@ def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
 
     def backward(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
+        _accumulate(a, g * (1.0 - out_data * out_data), fresh=True)
 
     return _make(out_data, (a,), "tanh", backward)
 
@@ -379,14 +389,14 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data = np.asarray(out_data, dtype=x.dtype)
 
     def backward(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
+        _accumulate(a, g * out_data * (1.0 - out_data), fresh=True)
 
     return _make(out_data, (a,), "sigmoid", backward)
 
 
 def log(a: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, g / a.data)
+        _accumulate(a, g / a.data, fresh=True)
 
     return _make(np.log(a.data), (a,), "log", backward)
 
@@ -396,7 +406,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     inside = (a.data >= lo) & (a.data <= hi)
 
     def backward(g):
-        _accumulate(a, g * inside)
+        _accumulate(a, g * inside, fresh=True)
 
     return _make(np.clip(a.data, lo, hi), (a,), "clip", backward)
 
@@ -432,6 +442,22 @@ def dropout_masks(shapes, p: float, rng: np.random.Generator) -> list[np.ndarray
     return masks
 
 
+def _keep_scale(p: float, keep: np.ndarray, like: np.ndarray):
+    """The inverted-dropout scale ``c = 1/(1-p)`` in ``like``'s dtype, or
+    None for ``p`` = 0 (no dropout), after checking the rate and that
+    ``keep`` is a bool mask of ``like``'s shape."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+    if p == 0.0:
+        return None
+    if keep.shape != like.shape:
+        raise ValueError(f"dropout mask shape {keep.shape} does not match {like.shape}")
+    if keep.dtype != np.bool_:
+        raise ValueError(f"dropout mask must be bool, got {keep.dtype}")
+    dtype = like.dtype.type
+    return dtype(1) / dtype(1 - p)
+
+
 def dropout(a: Tensor, p: float, *, keep: np.ndarray) -> Tensor:
     """Inverted dropout: keep with probability 1-p and rescale, so eval mode
     needs no correction.
@@ -441,19 +467,12 @@ def dropout(a: Tensor, p: float, *, keep: np.ndarray) -> Tensor:
     float mask ``keep * c`` lives only while the forward and the backward
     product are formed, so the graph holds one byte per element.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0:
+    c = _keep_scale(p, keep, a.data)
+    if c is None:
         return a
-    if keep.shape != a.shape:
-        raise ValueError(f"dropout mask shape {keep.shape} does not match {a.shape}")
-    if keep.dtype != np.bool_:
-        raise ValueError(f"dropout mask must be bool, got {keep.dtype}")
-    dtype = a.data.dtype.type
-    c = dtype(1) / dtype(1 - p)
 
     def backward(g):
-        _accumulate(a, g * (keep * c))
+        _accumulate(a, g * (keep * c), fresh=True)
 
     return _make(a.data * (keep * c), (a,), "dropout", backward)
 
@@ -471,7 +490,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (g - inner))
+        _accumulate(a, out_data * (g - inner), fresh=True)
 
     return _make(out_data, (a,), "softmax", backward)
 
@@ -485,7 +504,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     soft = np.exp(out_data)
 
     def backward(g):
-        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True))
+        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True), fresh=True)
 
     return _make(out_data, (a,), "log_softmax", backward)
 
@@ -502,11 +521,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = centered * inv_std
 
     def backward(g):
-        _accumulate(gain, (g * xhat).sum(axis=0) if a.data.ndim == 2 else g * xhat)
-        _accumulate(bias, g.sum(axis=0) if a.data.ndim == 2 else g)
+        _accumulate(gain, (g * xhat).sum(axis=0) if a.data.ndim == 2 else g * xhat,
+                    fresh=True)
+        _accumulate(bias, g.sum(axis=0) if a.data.ndim == 2 else g, fresh=a.data.ndim == 2)
         gx = g * gain.data
         term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, term * inv_std)
+        _accumulate(a, term * inv_std, fresh=True)
 
     return _make(xhat * gain.data + bias.data, (a, gain, bias), "layer_norm", backward)
 
@@ -579,7 +599,8 @@ def _im2col(x: np.ndarray, k: int, cross, lo: int = 0, hi: int | None = None) ->
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-           lengths=None) -> Tensor:
+           lengths=None, *, relu: bool = False, p: float = 0.0,
+           keep: np.ndarray | None = None) -> Tensor:
     """1-D convolution over time with "same" zero padding.
 
     ``x`` is (T, C_in), ``kernel`` is (K, C_in, C_out); output is (T, C_out).
@@ -592,6 +613,16 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     weight-gradient chunk of rows at a time, rather than keeping it alive
     between the passes, and forms only the gradients that some leaf
     receives.
+
+    An optional epilogue then works on the product in place: ``relu=True``
+    multiplies it by its ReLU mask ``out > 0``, and a dropout rate ``p``
+    with a bool ``keep`` mask from :func:`dropout_masks` multiplies it by
+    ``keep * c``, ``c = 1/(1-p)`` in its dtype (``keep=None``, as in eval
+    mode, drops nothing). These are the products that :func:`relu` and then
+    :func:`dropout` form, so every bit is theirs, but the graph keeps one
+    (T, C_out) array where that chain keeps three. The backward reads the
+    ReLU mask back from the output: a kept element is positive exactly when
+    the product was, and a dropped one has a zero gradient either way.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ValueError(f"conv1d expects (T,Cin) x (K,Cin,Cout), got {x.shape} x {kernel.shape}")
@@ -608,20 +639,31 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if bias.shape != (c_out,):
             raise ValueError(f"conv1d bias must be ({c_out},), got {bias.shape}")
         out_data += bias.data
+    if relu:
+        out_data *= out_data > 0
+    c = None if keep is None else _keep_scale(p, keep, out_data)
+    if c is not None:
+        out_data *= keep * c
 
     def backward(g):
+        if c is not None:
+            g = g * (keep * c)
+            if relu:
+                g *= out_data > 0
+        elif relu:
+            g = g * (out_data > 0)
         if _needs_grad(kernel):
             # the columns are rebuilt one gradient chunk at a time: the same
             # rows in the same layout as slices of the whole matrix
             cols = functools.partial(_im2col, x.data, k, cross)
-            _accumulate(kernel, _weight_grad(cols, g).reshape(k, c_in, c_out))
+            _accumulate(kernel, _weight_grad(cols, g).reshape(k, c_in, c_out), fresh=True)
         if bias is not None and _needs_grad(bias):
-            _accumulate(bias, g.sum(axis=0))
+            _accumulate(bias, g.sum(axis=0), fresh=True)
         if not _needs_grad(x):
             return
         gcols = g @ w2d.T
         if k == 1:
-            _accumulate(x, gcols)
+            _accumulate(x, gcols, fresh=True)
             return
         gcols = gcols.reshape(t_len, k, c_in)
         gcols[cross] = 0.0  # padding, not a neighbouring segment's frames
@@ -629,10 +671,27 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         for tap in range(k):
             gpad[tap:tap + t_len] += gcols[:, tap, :]
         pad_lo = (k - 1) // 2
-        _accumulate(x, gpad[pad_lo:pad_lo + t_len])
+        _accumulate(x, gpad[pad_lo:pad_lo + t_len], fresh=True)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(out_data, parents, "conv1d", backward)
+
+
+def _key_chunked_matmul(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``p @ v`` for stacks of (T, T) weights and (T, d) values, summed over
+    fixed chunks of ``_GRAD_CHUNK_ROWS`` keys in a fixed order.
+
+    The inner dimension is the segment's length. Like a weight gradient's
+    rows (see :func:`_weight_grad`), a long one may be split differently for
+    different BLAS thread counts; the chunks keep attention over a long
+    utterance bitwise independent of the thread count. A segment of at most
+    ``_GRAD_CHUNK_ROWS`` frames is one product, ``p @ v`` itself.
+    """
+    n = _GRAD_CHUNK_ROWS
+    out = p[..., :n] @ v[..., :n, :]
+    for lo in range(n, v.shape[-2], n):
+        out += p[..., lo:lo + n] @ v[..., lo:lo + n, :]
+    return out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths=None) -> Tensor:
@@ -668,7 +727,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths=None) -> Te
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        heads(out_data, *run)[...] = p @ heads(v.data, *run)
+        heads(out_data, *run)[...] = _key_chunked_matmul(p, heads(v.data, *run))
         probs.append(p)
 
     def backward(g):
@@ -683,9 +742,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths=None) -> Te
             gs *= s
             heads(gq, *run)[...] = gs @ heads(k.data, *run)
             heads(gk, *run)[...] = gs.transpose(0, 1, 3, 2) @ heads(q.data, *run)
-        _accumulate(q, gq)
-        _accumulate(k, gk)
-        _accumulate(v, gv)
+        _accumulate(q, gq, fresh=True)
+        _accumulate(k, gk, fresh=True)
+        _accumulate(v, gv, fresh=True)
 
     return _make(out_data, (q, k, v), "attention", backward)
 
@@ -703,7 +762,7 @@ def take_rows(a: Tensor, index) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         np.add.at(full, index, g)
-        _accumulate(a, full)
+        _accumulate(a, full, fresh=True)
 
     return _make(np.take(a.data, index, axis=0), (a,), "take_rows", backward)
 
@@ -737,7 +796,7 @@ def mean_over_time(x: Tensor, lengths=None) -> Tensor:
         for lo, hi, n, seg in runs:
             gx[lo:hi].reshape(n, seg, c)[...] = (g[first:first + n] / seg)[:, None, :]
             first += n
-        _accumulate(x, gx)
+        _accumulate(x, gx, fresh=True)
 
     return _make(out_data, (x,), "mean_over_time", backward)
 
@@ -772,7 +831,7 @@ def pick(a: Tensor, index) -> Tensor:
         def backward(g):
             full = np.zeros_like(a.data)
             full[rows, cols] = g
-            _accumulate(a, full)
+            _accumulate(a, full, fresh=True)
 
         return _make(a.data[rows, cols], (a,), "pick", backward)
     if a.data.ndim != 1:
@@ -784,7 +843,7 @@ def pick(a: Tensor, index) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[index] = g
-        _accumulate(a, full)
+        _accumulate(a, full, fresh=True)
 
     return _make(a.data[index], (a,), "pick", backward)
 

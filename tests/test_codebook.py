@@ -148,6 +148,7 @@ def test_score_corpus_keeps_each_utterances_own_sequence(monkeypatch, dtype):
 
 
 _SCORE_THREADS_SCRIPT = """
+import hashlib
 import numpy as np
 from emorank.codebook import _SCORE_CHUNK_FRAMES, score_corpus
 from emorank.extractor import (ExtractorConfig, forward_intensity, init_params,
@@ -159,7 +160,7 @@ emotions = ["neutral", "angry", "amused"]
 params = init_params(ExtractorConfig(n_emotion_classes=3), emotions, rng)
 params.feat_mean = rng.normal(size=82).astype(np.float32)
 params.feat_std = rng.uniform(0.5, 2.0, size=82).astype(np.float32)
-lengths = [135, 300, 700, 90, 2, 135, _SCORE_CHUNK_FRAMES + 77, 1, 60, 513, 3, 240]
+lengths = [135, 300, 700, 90, 2, 135, _SCORE_CHUNK_FRAMES + 77, 1, 60, 513, 3, 240, 50, 1100]
 utts = []
 for i, n in enumerate(lengths):
     fr = rng.normal(size=(n, 82)).astype(np.float32)
@@ -169,8 +170,9 @@ corpus = Corpus(utts, require_roles=False)
 records = score_corpus(params, corpus, keep_sequences=True)
 scored = [u for u in utts if u.emotion_label != "neutral"]
 assert [r.utterance_id for r in records] == [u.source_id for u in scored]
-bad = []
+bad, digest = [], hashlib.sha256()
 for r, u in zip(records, scored):
+    digest.update(np.float64(r.score).tobytes() + r.pooled.tobytes() + r.i_seq.tobytes())
     i_seq = forward_intensity(params, u.frames, u.emotion_label)
     h = pool(i_seq)
     if not (r.score == project_score(params, h).item()
@@ -178,19 +180,26 @@ for r, u in zip(records, scored):
             and r.i_seq.tobytes() == i_seq.data.astype(np.float64).tobytes()):
         bad.append(u.source_id)
 print(len(records), "records, mismatched:", bad)
+print(digest.hexdigest())
 """
 
 
 def test_score_corpus_is_bitwise_the_lone_forward_for_1_and_2_blas_threads():
     # paper width, ragged lengths: chunks of several utterances, a chunk
-    # boundary, an utterance over the chunk cap and some few-frame ones
+    # boundary, an utterance over the chunk cap and some few-frame ones;
+    # every record, those of 300-1,101 frames too, is also the same bytes
+    # for both thread counts
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    digests = set()
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         out = subprocess.run([sys.executable, "-c", _SCORE_THREADS_SCRIPT], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "8 records, mismatched: []", (threads, out.stdout)
+        *check, digest = out.stdout.split("\n")[:2]
+        assert check == ["9 records, mismatched: []"], (threads, out.stdout)
+        digests.add(digest)
+    assert len(digests) == 1
 
 
 def test_classify_utterance_returns_class_index():

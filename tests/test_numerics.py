@@ -236,7 +236,8 @@ def test_gradients_nobody_receives_are_not_formed(monkeypatch):
         for t in trainable:
             t.zero_grad()
         sent = []
-        monkeypatch.setattr(nm, "_accumulate", lambda t, g: (sent.append(t), accumulate(t, g)))
+        monkeypatch.setattr(nm, "_accumulate", lambda t, g, fresh=False: (
+            sent.append(t), accumulate(t, g, fresh)))
         weighted_sum(out, 3).backward()
         monkeypatch.setattr(nm, "_accumulate", accumulate)
         assert not any(t is c for t in sent for c in constants)

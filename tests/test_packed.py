@@ -6,9 +6,10 @@ from slice/transpose/softmax/concat ops, one forward per mixture, dropout
 masks drawn while the forward runs, affine layers as a product plus a
 separate bias add, and the batch mean as a chain of adds. More oracles
 cover the memory of a training step: a ``conv1d`` that keeps its im2col
-columns for the backward pass, a ``matmul`` that forms both operands'
-gradients whether or not a leaf receives them, and a backward sweep that
-leaves the graph intact.
+columns for the backward pass and runs its ReLU and dropout epilogue as
+separate ``relu`` and ``dropout`` ops, a ``matmul`` that forms both
+operands' gradients whether or not a leaf receives them, a gradient store
+that always copies, and a backward sweep that leaves the graph intact.
 """
 
 import os
@@ -98,9 +99,10 @@ def _ref_batch_losses(params, corpus, cfg, rng):
     return nm.scale(l_mix, inv), nm.scale(l_rank, inv)
 
 
-def _ref_conv1d(x, kernel, bias=None, lengths=None):
+def _ref_conv1d(x, kernel, bias=None, lengths=None, *, relu=False, p=0.0, keep=None):
     """Segmented "same" conv1d that keeps its (T, K*C_in) columns alive until
-    the backward pass runs."""
+    the backward pass runs, with its epilogue as separate ``relu`` and
+    ``dropout`` ops."""
     t_len, c_in = x.shape
     k, _, c_out = kernel.shape
     pad_lo = (k - 1) // 2
@@ -135,7 +137,10 @@ def _ref_conv1d(x, kernel, bias=None, lengths=None):
         nm._accumulate(x, gpad[pad_lo:pad_lo + t_len])
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return nm._make(out_data, parents, "conv1d", backward)
+    out = nm._make(out_data, parents, "conv1d", backward)
+    if relu:
+        out = nm.relu(out)
+    return out if keep is None else nm.dropout(out, p, keep=keep)
 
 
 def _ref_matmul(a, b, bias=None):
@@ -343,6 +348,126 @@ def test_conv1d_backward_builds_its_columns_one_chunk_at_a_time(monkeypatch):
 # the backward sweep releases the tape and forms only the gradients it needs
 
 
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_epilogue_equals_the_unfused_relu_and_dropout_chain_bitwise(dtype, train):
+    rng = np.random.default_rng(21)
+    lengths = [7, 300, 1, 12, 5]  # 300 frames: more than one weight-gradient chunk
+    t_len, hidden, filt, p = sum(lengths), 6, 10, 0.3
+    arrays = [rng.normal(size=shape).astype(dtype) for shape in
+              ((t_len, hidden), (5, hidden, filt), (filt,), (1, filt, hidden), (hidden,))]
+    keep1, keep2 = (nm.dropout_masks([(t_len, filt), (t_len, hidden)], p, rng)
+                    if train else (None, None))
+    seed = rng.normal(size=(t_len, hidden)).astype(dtype)
+    results = []
+    for fused in (True, False):
+        x, w1, b1, w2, b2 = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        if fused:
+            c = nm.conv1d(x, w1, b1, lengths, relu=True, p=p, keep=keep1)
+            out = nm.conv1d(c, w2, b2, lengths, p=p, keep=keep2)
+        else:
+            c = nm.relu(nm.conv1d(x, w1, b1, lengths))
+            c = c if keep1 is None else nm.dropout(c, p, keep=keep1)
+            out = nm.conv1d(c, w2, b2, lengths)
+            out = out if keep2 is None else nm.dropout(out, p, keep=keep2)
+        out.backward(seed)
+        results.append([c.data, out.data] + [t.grad for t in (x, w1, b1, w2, b2)])
+    for new, ref in zip(*results):
+        assert new.dtype == dtype and new.shape == ref.shape
+        assert new.tobytes() == ref.tobytes()  # also tells -0.0 from 0.0
+    relu_out = results[0][0]
+    assert (relu_out == 0).any() and (relu_out > 0).any()
+
+
+def test_conv1d_epilogue_gradients_match_finite_differences():
+    rng = np.random.default_rng(22)
+    lengths, p = [4, 7], 0.25
+    x = Tensor(rng.normal(size=(11, 3)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+    bias = Tensor(rng.normal(size=4), requires_grad=True)
+    keep = nm.dropout_masks([(11, 4)], p, rng)[0]
+    weights = rng.normal(size=(11, 4))
+    raw = nm.conv1d(x, kernel, bias, lengths).data
+    # away from the ReLU's kink: no finite-difference step crosses it
+    assert np.abs(raw).min() > 1e-3
+    assert (raw < 0).any() and (raw > 0).any() and keep.any() and not keep.all()
+
+    def build():
+        return nm.conv1d(x, kernel, bias, lengths, relu=True, p=p, keep=keep)
+
+    build().backward(weights)
+    for t in (x, kernel, bias):
+        ref = nm.finite_difference_grad(lambda: (build().data * weights).sum(), t)
+        np.testing.assert_allclose(t.grad, ref, rtol=1e-6, atol=1e-8)
+
+
+def _captured(closure):
+    values = []
+    for cell in (closure.__closure__ or ()) if closure else ():
+        try:
+            values.append(cell.cell_contents)
+        except ValueError:  # a name the closure's function never bound
+            pass
+    return values
+
+
+def _held_arrays(root):
+    """Every distinct array a graph holds: its nodes' values and whatever
+    their backward closures captured, directly or in a list or tuple."""
+    held = {}
+    for node in ComputeGraph.trace(root).nodes:
+        for obj in [node.data] + _captured(node._backward):
+            for a in obj if isinstance(obj, (list, tuple)) else (obj,):
+                if isinstance(a, np.ndarray):
+                    held[id(a)] = a
+    return list(held.values())
+
+
+@pytest.mark.parametrize("fused", [True, False])
+def test_training_graph_keeps_one_filter_wide_activation_per_block(monkeypatch, fused):
+    corpus, params = ragged_setup(np.float32)
+    cfg = params.config
+    frames, forward = [], training.forward_intensity
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        frames.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(training, "forward_intensity", recording_forward)
+    if not fused:  # the conv1d -> relu -> dropout chain
+        monkeypatch.setattr(nm, "conv1d", _ref_conv1d)
+    root = _packed_total_loss(params, corpus)
+    wide = [a for a in _held_arrays(root)
+            if a.shape == (frames[0], cfg.conv_filter_dim) and a.dtype.kind == "f"]
+    assert len(wide) == (1 if fused else 3) * cfg.n_fft_blocks
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gradient_buffers_are_never_shared_and_equal_copied_stores(monkeypatch, dtype):
+    corpus, params = ragged_setup(dtype)
+    accumulate = nm._accumulate
+    monkeypatch.setattr(nm, "_accumulate", lambda t, g, fresh=False: accumulate(t, g))
+    copied = grads_of(params, _packed_total_loss(params, corpus))
+
+    root = _packed_total_loss(params, corpus)
+    tensors, stores = ComputeGraph.trace(root).nodes, []
+
+    def checking_accumulate(t, g, fresh=False):
+        accumulate(t, g, fresh)
+        if t.grad is not None:
+            stores.append(fresh)
+            assert not any(np.shares_memory(t.grad, u.grad) for u in tensors
+                           if u is not t and u.grad is not None), t.op
+
+    monkeypatch.setattr(nm, "_accumulate", checking_accumulate)
+    grads = grads_of(params, root)
+    assert any(stores) and not all(stores)
+    held = [t.grad for t in params.tensors.values()]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[i + 1:])
+    assert_grads_bitwise_equal(grads, copied)
+
+
 def _packed_total_loss(params, corpus, iteration=0):
     cfg = TrainConfig(batch_pairs=5, seed=3)
     l_mix, l_rank = _batch_losses(params, corpus, cfg, iteration_rng(3, iteration), [])
@@ -388,9 +513,9 @@ def test_constant_matmul_inputs_get_no_gradient(monkeypatch):
             constants.append(a)
         return matmul(a, b, bias)
 
-    def recording_accumulate(t, g):
+    def recording_accumulate(t, g, fresh=False):
         sent.append(t)
-        accumulate(t, g)
+        accumulate(t, g, fresh)
 
     monkeypatch.setattr(nm, "matmul", recording_matmul)
     monkeypatch.setattr(nm, "_accumulate", recording_accumulate)
@@ -476,33 +601,43 @@ def test_one_packed_forward_and_a_small_tape_per_iteration(monkeypatch):
     training.train_rank_model(data.corpus, ecfg, TrainConfig(
         iterations=2, learning_rate=1e-3, batch_pairs=8, seed=0))
     assert len(calls) == 2
-    assert len(tapes) == 2 and max(tapes) < 200, tapes
+    # 118 nodes, leaves included; the conv1d -> relu -> dropout chain made 124
+    assert tapes == [118, 118], tapes
 
 
 _THREADS_SCRIPT = """
-import hashlib, numpy as np
+import hashlib, sys, numpy as np
 from emorank.extractor import ExtractorConfig
 from emorank.synthcorpus import SynthSpec, generate
 from emorank.training import TrainConfig, train_rank_model
-data = generate(SynthSpec(n_speakers=2, n_emotions=3, utterances_per_cell=30),
+hidden, filt, proj, frames, iterations = map(int, sys.argv[1:6])
+lr = float(sys.argv[6])
+data = generate(SynthSpec(n_speakers=2, n_emotions=3, utterances_per_cell=30,
+                          frame_length_range=(frames // 2, frames)),
                 np.random.default_rng(100))
-ecfg = ExtractorConfig(input_dim=82, hidden_dim=32, n_fft_blocks=2, n_heads=2,
-                       conv_kernel=9, conv_filter_dim=64, dropout=0.1,
-                       n_emotion_classes=4, projector_hidden=32)
-r = train_rank_model(data.corpus, ecfg, TrainConfig(iterations=3, learning_rate=1e-3,
+ecfg = ExtractorConfig(input_dim=82, hidden_dim=hidden, n_fft_blocks=2, n_heads=2,
+                       conv_kernel=9, conv_filter_dim=filt, dropout=0.1,
+                       n_emotion_classes=4, projector_hidden=proj)
+r = train_rank_model(data.corpus, ecfg, TrainConfig(iterations=iterations, learning_rate=lr,
                                                     batch_pairs=8, seed=0))
-print(hashlib.sha256(r.trace.tobytes()).hexdigest())
+h = hashlib.sha256(r.trace.tobytes())
+for name in sorted(r.params.tensors):
+    h.update(r.params.tensors[name].data.tobytes())
+print(h.hexdigest())
 """
 
 
 def test_training_is_bitwise_independent_of_blas_threads():
     # a packed batch has far more frames than one weight-gradient chunk
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
-                             capture_output=True, text=True, check=True)
-        digests.add(out.stdout.strip())
-    assert len(digests) == 1
+    widths = [("32", "64", "32", "80", "3", "1e-3"),  # gate width, 40-80 frames
+              ("256", "1024", "128", "160", "2", "1e-4")]  # paper width, 80-160 frames
+    for width in widths:
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, *width], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, width
