@@ -11,6 +11,7 @@ Neutral always maps to the zero vector.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -274,24 +275,41 @@ def _ordered_levels(raw: dict) -> list[str]:
 
 
 def load_codebook(path) -> IntensityCodebook:
+    """Read a codebook written by :func:`save_codebook`. A file that is not
+    one (not JSON, no ``neutral`` list, an entry without boundaries or
+    levels, a level vector not as wide as ``neutral``) raises
+    :class:`FileFormatError`."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "neutral" not in doc:
-        raise FileFormatError("codebook file lacks the neutral entry")
-    hidden = len(doc["neutral"])
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FileFormatError(f"codebook file {path} is not valid JSON: {e}") from e
+    neutral = doc.get("neutral") if isinstance(doc, dict) else None
+    if not isinstance(neutral, list):
+        raise FileFormatError("codebook file lacks the neutral list")
+    hidden = len(neutral)
     entries = {}
     for emotion, raw in doc.items():
         if emotion in CODEBOOK_RESERVED_KEYS:
             continue
-        order = _ordered_levels(raw)
-        means = raw.get("mean_scores", {})
-        entries[emotion] = EmotionEntry(
-            boundaries=[float(b) for b in raw["boundaries"]],
-            levels={name: np.asarray(raw["levels"][name], dtype=np.float64)
-                    for name in order},
-            mean_scores={name: float(means[name]) for name in order
-                         if name in means},
-        )
+        try:
+            order = _ordered_levels(raw)
+            means = raw.get("mean_scores", {})
+            entry = EmotionEntry(
+                boundaries=[float(b) for b in raw["boundaries"]],
+                levels={name: np.asarray(raw["levels"][name], dtype=np.float64)
+                        for name in order},
+                mean_scores={name: float(means[name]) for name in order
+                             if name in means},
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise FileFormatError(f"codebook entry '{emotion}' is malformed: "
+                                  f"{type(e).__name__}: {e}") from e
+        for name, vec in entry.levels.items():
+            if vec.shape != (hidden,):
+                raise FileFormatError(f"codebook level '{emotion}'/'{name}' has shape "
+                                      f"{vec.shape}, but the neutral entry has ({hidden},)")
+        entries[emotion] = entry
     return IntensityCodebook(entries, hidden, doc.get("provenance", {}))
 
 
@@ -345,7 +363,13 @@ def read_alignment(path) -> PhonemeAlignment:
         parts = line.split("\t")
         if len(parts) != 3:
             raise FileFormatError(f"line {n}: expected symbol<TAB>start<TAB>end")
-        intervals.append(PhonemeInterval(parts[0], float(parts[1]), float(parts[2])))
+        try:
+            start, end = float(parts[1]), float(parts[2])
+        except ValueError as e:
+            raise FileFormatError(f"line {n}: start and end must be numbers: {e}") from e
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise FileFormatError(f"line {n}: start and end must be finite")
+        intervals.append(PhonemeInterval(parts[0], start, end))
     return PhonemeAlignment(intervals)
 
 

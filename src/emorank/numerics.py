@@ -7,10 +7,9 @@ reverse topological order and accumulates gradients into every leaf that
 requires them. The sweep uses the graph up as it goes: each op output drops
 its gradient, its backward closure and its inputs once its closure has run,
 so only leaves keep gradients afterwards, and a swept graph cannot be
-backpropagated again. The op surface is deliberately small: what the intensity
-extractor and its losses need, plus the ops the fused ones are tested
-against: the per-head attention ops (slice, transpose, softmax, concat) for
-``attention`` and ``relu`` for the ``conv1d`` epilogue.
+backpropagated again. The op surface is deliberately small: exactly the ops
+the intensity extractor and its losses call. The unfused ops the fused ones
+are tested against (per-head softmax attention, ReLU) live with the tests.
 
 Float64 is the oracle precision (all finite-difference checks run in it);
 float32 is supported for training throughput. An op inherits the dtype of
@@ -29,10 +28,8 @@ class NonFiniteError(ValueError):
     """A NaN or Inf showed up where only finite values are legal."""
 
 
-def _promote(data, dtype=None):
+def _promote(data):
     arr = np.asarray(data)
-    if dtype is not None:
-        return np.asarray(arr, dtype=dtype)
     if arr.dtype in (np.float32, np.float64):
         return arr
     return arr.astype(np.float64)
@@ -50,8 +47,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None, op="leaf", parents=()):
-        self.data = _promote(data, dtype)
+    def __init__(self, data, requires_grad=False, op="leaf", parents=()):
+        self.data = _promote(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = op
@@ -68,9 +65,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -91,29 +85,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, op={self.op!r})"
 
-    # Operator sugar for the common arithmetic; the named functions below are
-    # the canonical surface.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_const(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def as_tensor(value, dtype=None) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
+def as_tensor(value) -> Tensor:
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 class ComputeGraph:
@@ -201,18 +175,14 @@ def _make(data, parents, op, backward):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum. Also accepts a 1-D ``b`` broadcast across the rows of
-    a 2-D ``a`` (per-channel vector added over time), the one broadcast the
-    extractor needs."""
+    """Elementwise sum of two tensors of one shape."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape and not (a.data.ndim == 2 and b.shape == a.shape[-1:]):
+    if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    row_broadcast = a.shape != b.shape
 
     def backward(g):
         _accumulate(a, g)
-        if _needs_grad(b):
-            _accumulate(b, g.sum(axis=0) if row_broadcast else g, fresh=row_broadcast)
+        _accumulate(b, g)
 
     return _make(a.data + b.data, (a, b), "add", backward)
 
@@ -233,18 +203,6 @@ def neg(a: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     return add(a, neg(as_tensor(b)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        _accumulate(a, g * b.data, fresh=True)
-        _accumulate(b, g * a.data, fresh=True)
-
-    return _make(a.data * b.data, (a, b), "mul", backward)
 
 
 def scale(a: Tensor, s) -> Tensor:
@@ -327,48 +285,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out_data, parents, "matmul", backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, g.T)
-
-    return _make(a.data.T, (a,), "transpose", backward)
-
-
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if not (0 <= lo < hi <= a.shape[-1]):
-        raise ValueError(f"column slice [{lo}:{hi}] out of range for {a.shape}")
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[..., lo:hi] = g
-        _accumulate(a, full, fresh=True)
-
-    return _make(a.data[..., lo:hi].copy(), (a,), "slice_cols", backward)
-
-
-def concat_cols(parts) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    widths = [p.shape[-1] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[..., lo:hi])
-
-    return _make(np.concatenate([p.data for p in parts], axis=-1), parts, "concat_cols", backward)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def backward(g):
-        _accumulate(a, g * mask, fresh=True)
-
-    return _make(a.data * mask, (a,), "relu", backward)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -479,20 +397,6 @@ def dropout(a: Tensor, p: float, *, keep: np.ndarray) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # normalization and attention building blocks
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ValueError(f"softmax axis {axis} out of range for {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (g - inner), fresh=True)
-
-    return _make(out_data, (a,), "softmax", backward)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -618,9 +522,9 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     multiplies it by its ReLU mask ``out > 0``, and a dropout rate ``p``
     with a bool ``keep`` mask from :func:`dropout_masks` multiplies it by
     ``keep * c``, ``c = 1/(1-p)`` in its dtype (``keep=None``, as in eval
-    mode, drops nothing). These are the products that :func:`relu` and then
-    :func:`dropout` form, so every bit is theirs, but the graph keeps one
-    (T, C_out) array where that chain keeps three. The backward reads the
+    mode, drops nothing). These are the products that a separate ReLU op
+    and then :func:`dropout` form, so every bit is theirs, but the graph
+    keeps one (T, C_out) array where that chain keeps three. The backward reads the
     ReLU mask back from the output: a kept element is positive exactly when
     the product was, and a dropped one has a zero gradient either way.
     """
@@ -677,20 +581,21 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     return _make(out_data, parents, "conv1d", backward)
 
 
-def _key_chunked_matmul(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``p @ v`` for stacks of (T, T) weights and (T, d) values, summed over
-    fixed chunks of ``_GRAD_CHUNK_ROWS`` keys in a fixed order.
+def _segment_chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of matrices whose inner dimension is a segment's
+    length (keys or queries), summed over fixed chunks of
+    ``_GRAD_CHUNK_ROWS`` frames in a fixed order.
 
-    The inner dimension is the segment's length. Like a weight gradient's
-    rows (see :func:`_weight_grad`), a long one may be split differently for
-    different BLAS thread counts; the chunks keep attention over a long
-    utterance bitwise independent of the thread count. A segment of at most
-    ``_GRAD_CHUNK_ROWS`` frames is one product, ``p @ v`` itself.
+    Like a weight gradient's rows (see :func:`_weight_grad`), a long inner
+    dimension may be split differently for different BLAS thread counts; the
+    chunks keep attention's output and gradients over a long utterance
+    bitwise independent of the thread count. A segment of at most
+    ``_GRAD_CHUNK_ROWS`` frames is one product, ``a @ b`` itself.
     """
     n = _GRAD_CHUNK_ROWS
-    out = p[..., :n] @ v[..., :n, :]
-    for lo in range(n, v.shape[-2], n):
-        out += p[..., lo:lo + n] @ v[..., lo:lo + n, :]
+    out = a[..., :n] @ b[..., :n, :]
+    for lo in range(n, b.shape[-2], n):
+        out += a[..., lo:lo + n] @ b[..., lo:lo + n, :]
     return out
 
 
@@ -727,21 +632,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths=None) -> Te
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        heads(out_data, *run)[...] = _key_chunked_matmul(p, heads(v.data, *run))
+        heads(out_data, *run)[...] = _segment_chunked_matmul(p, heads(v.data, *run))
         probs.append(p)
 
     def backward(g):
         gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
         for run, p in zip(runs, probs):
             gh = heads(g, *run)
-            heads(gv, *run)[...] = p.transpose(0, 1, 3, 2) @ gh
+            heads(gv, *run)[...] = _segment_chunked_matmul(p.transpose(0, 1, 3, 2), gh)
             # softmax backward: p * (gp - rowsum(gp * p)), gp = g v^T
             gs = gh @ heads(v.data, *run).transpose(0, 1, 3, 2)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= s
-            heads(gq, *run)[...] = gs @ heads(k.data, *run)
-            heads(gk, *run)[...] = gs.transpose(0, 1, 3, 2) @ heads(q.data, *run)
+            heads(gq, *run)[...] = _segment_chunked_matmul(gs, heads(k.data, *run))
+            heads(gk, *run)[...] = _segment_chunked_matmul(gs.transpose(0, 1, 3, 2),
+                                                           heads(q.data, *run))
         _accumulate(q, gq, fresh=True)
         _accumulate(k, gk, fresh=True)
         _accumulate(v, gv, fresh=True)
@@ -799,13 +705,6 @@ def mean_over_time(x: Tensor, lengths=None) -> Tensor:
         _accumulate(x, gx, fresh=True)
 
     return _make(out_data, (x,), "mean_over_time", backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _make(a.data.sum(), (a,), "sum_all", backward)
 
 
 def mean_all(a: Tensor) -> Tensor:

@@ -397,6 +397,29 @@ def test_format_errors_exit_4(pipeline, tmp_path, capsys):
     junk = tmp_path / "junk.emom"
     junk.write_bytes(b"JUNKJUNKJUNK")
     assert main(["score", str(junk), pipeline["corpus"]]) == 4
+    # malformed codebook and alignment files handed to condition
+    good = {"angry": {"boundaries": [0.5], "levels": {"L0": [0.0, 1.0], "L1": [1.0, 2.0]}},
+            "neutral": [0.0, 0.0]}
+    wide = json.loads(json.dumps(good))
+    wide["angry"]["levels"]["L1"] = [1.0, 2.0, 3.0]
+    no_levels = {"angry": {"boundaries": [0.5]}, "neutral": [0.0, 0.0]}
+    labels = tmp_path / "c.labels"
+    labels.write_text("#levels v1\nangry\tL1\n")
+    align_ok = "#phonemes v1\nAH\t0.0\t0.3\n"
+    cases = [("{nope", align_ok), (json.dumps(no_levels), align_ok),
+             (json.dumps(wide), align_ok), (json.dumps({"neutral": 5}), align_ok),
+             (json.dumps(good), "#phonemes v1\nAH\tzero\t0.3\n")]
+    for cb_text, align_text in cases:
+        cb, align, out = tmp_path / "cb.json", tmp_path / "c.align", tmp_path / "c.emof"
+        cb.write_text(cb_text)
+        align.write_text(align_text)
+        assert main(["condition", str(cb), str(labels), str(out),
+                     "--alignment", str(align)]) == 4, cb_text
+        assert sorted(os.listdir(tmp_path)) == ["bad.json", "c.align", "c.labels", "cb.json",
+                                                "junk.emom", "unknown.json"]
+    cb.write_text(json.dumps(good))
+    align.write_text(align_ok)
+    assert main(["condition", str(cb), str(labels), str(out), "--alignment", str(align)]) == 0
 
 
 def test_dimension_errors_exit_5(pipeline, tmp_path):

@@ -1,5 +1,6 @@
 """Codebook construction, persistence, alignment, and conditioning lookups."""
 
+import json
 import os
 import subprocess
 import sys
@@ -351,6 +352,18 @@ def test_load_codebook_requires_neutral(tmp_path):
     path.write_text("{}")
     with pytest.raises(FileFormatError):
         load_codebook(path)
+    good = {"angry": {"boundaries": [0.5], "levels": {"L0": [0.0, 1.0], "L1": [1.0, 2.0]}},
+            "neutral": [0.0, 0.0]}
+    path.write_text(json.dumps(good))
+    assert load_codebook(path).hidden_dim == 2
+    no_levels = {"angry": {"boundaries": [0.5]}, "neutral": [0.0, 0.0]}
+    wide = {"angry": {"boundaries": [0.5], "levels": {"L0": [0.0, 1.0], "L1": [1.0, 2.0, 3.0]}},
+            "neutral": [0.0, 0.0]}
+    for text in ("{nope", "[]", json.dumps({"neutral": 5}), json.dumps(no_levels),
+                 json.dumps(wide), json.dumps({**good, "angry": 3})):
+        path.write_text(text)
+        with pytest.raises(FileFormatError):
+            load_codebook(path)
 
 
 def test_codebook_provenance_hashes():
@@ -388,6 +401,11 @@ def test_alignment_parse_errors(tmp_path):
     bad_cols.write_text("#phonemes v1\nHH 0.0 0.1\n")
     with pytest.raises(FileFormatError):
         read_alignment(bad_cols)
+    for start in ("zero", "nan", "-inf"):
+        bad_time = tmp_path / "z.align"
+        bad_time.write_text(f"#phonemes v1\nHH\t{start}\t0.1\n")
+        with pytest.raises(FileFormatError):
+            read_alignment(bad_time)
 
 
 def test_alignment_validation():

@@ -10,6 +10,7 @@ columns for the backward pass and runs its ReLU and dropout epilogue as
 separate ``relu`` and ``dropout`` ops, a ``matmul`` that forms both
 operands' gradients whether or not a leaf receives them, a gradient store
 that always copies, and a backward sweep that leaves the graph intact.
+The unfused ops the library no longer has come from ``oracle_ops``.
 """
 
 import os
@@ -18,6 +19,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import oracle_ops as ops
 import pytest
 
 from emorank import numerics as nm
@@ -45,19 +47,19 @@ def _ref_dropout(x, cfg, train, rng):
 
 def _ref_attention(params, prefix, x, train, rng):
     cfg = params.config
-    q = nm.add(nm.matmul(x, params[prefix + "attn.wq"]), params[prefix + "attn.bq"])
-    k = nm.add(nm.matmul(x, params[prefix + "attn.wk"]), params[prefix + "attn.bk"])
-    v = nm.add(nm.matmul(x, params[prefix + "attn.wv"]), params[prefix + "attn.bv"])
+    q = ops.add(nm.matmul(x, params[prefix + "attn.wq"]), params[prefix + "attn.bq"])
+    k = ops.add(nm.matmul(x, params[prefix + "attn.wk"]), params[prefix + "attn.bk"])
+    v = ops.add(nm.matmul(x, params[prefix + "attn.wv"]), params[prefix + "attn.bv"])
     d_head = cfg.hidden_dim // cfg.n_heads
     heads = []
     for h in range(cfg.n_heads):
         lo, hi = h * d_head, (h + 1) * d_head
-        scores = nm.scale(nm.matmul(nm.slice_cols(q, lo, hi),
-                                    nm.transpose(nm.slice_cols(k, lo, hi))),
+        scores = nm.scale(nm.matmul(ops.slice_cols(q, lo, hi),
+                                    ops.transpose(ops.slice_cols(k, lo, hi))),
                           1.0 / np.sqrt(d_head))
-        heads.append(nm.matmul(nm.softmax(scores, axis=-1), nm.slice_cols(v, lo, hi)))
-    out = nm.add(nm.matmul(nm.concat_cols(heads), params[prefix + "attn.wo"]),
-                 params[prefix + "attn.bo"])
+        heads.append(nm.matmul(ops.softmax(scores, axis=-1), ops.slice_cols(v, lo, hi)))
+    out = ops.add(nm.matmul(ops.concat_cols(heads), params[prefix + "attn.wo"]),
+                  params[prefix + "attn.bo"])
     return _ref_dropout(out, cfg, train, rng)
 
 
@@ -65,18 +67,18 @@ def _ref_forward(params, x, emotion_class, train, rng):
     cfg = params.config
     data = (np.asarray(x) - params.feat_mean) / params.feat_std
     h = Tensor(np.asarray(data, dtype=params.dtype))
-    h = nm.add(nm.matmul(h, params["in_proj.w"]), params["in_proj.b"])
+    h = ops.add(nm.matmul(h, params["in_proj.w"]), params["in_proj.b"])
     h = nm.add(h, Tensor(positional_encoding(data.shape[0], cfg.hidden_dim, params.dtype)))
     for i in range(cfg.n_fft_blocks):
         p = f"block{i}."
         h = nm.layer_norm(nm.add(h, _ref_attention(params, p, h, train, rng)),
                           params[p + "norm1.gain"], params[p + "norm1.bias"])
-        c = nm.relu(nm.conv1d(h, params[p + "conv1.w"], params[p + "conv1.b"]))
+        c = ops.relu(nm.conv1d(h, params[p + "conv1.w"], params[p + "conv1.b"]))
         c = _ref_dropout(c, cfg, train, rng)
         c = _ref_dropout(nm.conv1d(c, params[p + "conv2.w"], params[p + "conv2.b"]),
                          cfg, train, rng)
         h = nm.layer_norm(nm.add(h, c), params[p + "norm2.gain"], params[p + "norm2.bias"])
-    return nm.add(h, nm.take_rows(params["emb.table"], params.class_index(emotion_class)))
+    return ops.add(h, nm.take_rows(params["emb.table"], params.class_index(emotion_class)))
 
 
 def _ref_batch_losses(params, corpus, cfg, rng):
@@ -139,7 +141,7 @@ def _ref_conv1d(x, kernel, bias=None, lengths=None, *, relu=False, p=0.0, keep=N
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     out = nm._make(out_data, parents, "conv1d", backward)
     if relu:
-        out = nm.relu(out)
+        out = ops.relu(out)
     return out if keep is None else nm.dropout(out, p, keep=keep)
 
 
@@ -155,7 +157,7 @@ def _ref_matmul(a, b, bias=None):
             nm._accumulate(b, nm._weight_grad(a.data, g))
 
     out = nm._make(a.data @ b.data, (a, b), "matmul", backward)
-    return out if bias is None else nm.add(out, bias)
+    return out if bias is None else ops.add(out, bias)
 
 
 def _intact_backward(root):
@@ -366,7 +368,7 @@ def test_conv_epilogue_equals_the_unfused_relu_and_dropout_chain_bitwise(dtype, 
             c = nm.conv1d(x, w1, b1, lengths, relu=True, p=p, keep=keep1)
             out = nm.conv1d(c, w2, b2, lengths, p=p, keep=keep2)
         else:
-            c = nm.relu(nm.conv1d(x, w1, b1, lengths))
+            c = ops.relu(nm.conv1d(x, w1, b1, lengths))
             c = c if keep1 is None else nm.dropout(c, p, keep=keep1)
             out = nm.conv1d(c, w2, b2, lengths)
             out = out if keep2 is None else nm.dropout(out, p, keep=keep2)
@@ -641,3 +643,32 @@ def test_training_is_bitwise_independent_of_blas_threads():
                                  capture_output=True, text=True, check=True)
             digests.add(out.stdout.strip())
         assert len(digests) == 1, width
+
+
+_ATTENTION_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from emorank import numerics as nm
+rng = np.random.default_rng(7)
+lengths = [1100, 90]
+q, k, v = (nm.Tensor(rng.normal(size=(sum(lengths), 256)).astype(np.float32),
+                     requires_grad=True) for _ in range(3))
+out = nm.attention(q, k, v, 2, lengths)
+out.backward(rng.normal(size=out.shape).astype(np.float32))
+h = hashlib.sha256(out.data.tobytes())
+for t in (q, k, v):
+    h.update(t.grad.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_attention_gradients_over_long_segments_are_independent_of_blas_threads():
+    # every product over a 1,100-frame segment's length is summed in chunks
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _ATTENTION_THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
