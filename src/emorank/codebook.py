@@ -114,6 +114,13 @@ class EmotionEntry:
     levels: dict[str, np.ndarray]  # level name -> (hidden,) vector
     mean_scores: dict[str, float]  # level name -> mean score inside the bin
 
+    def __post_init__(self):
+        if len(self.boundaries) != len(self.levels) - 1:
+            raise ValueError(f"{len(self.levels)} levels need {len(self.levels) - 1} "
+                             f"boundaries, got {len(self.boundaries)}")
+        if any(a > b for a, b in zip(self.boundaries, self.boundaries[1:])):
+            raise ValueError(f"boundaries must be non-decreasing, got {self.boundaries}")
+
     def level_for_score(self, score: float) -> str:
         names = list(self.levels)
         for k, b in enumerate(self.boundaries):
@@ -277,7 +284,8 @@ def _ordered_levels(raw: dict) -> list[str]:
 def load_codebook(path) -> IntensityCodebook:
     """Read a codebook written by :func:`save_codebook`. A file that is not
     one (not JSON, no ``neutral`` list, an entry without boundaries or
-    levels, a level vector not as wide as ``neutral``) raises
+    levels, boundaries that are not one fewer than the levels or that
+    decrease, a level vector not as wide as ``neutral``) raises
     :class:`FileFormatError`."""
     with open(path, encoding="utf-8") as fh:
         try:

@@ -1,5 +1,12 @@
 """Training objective: weighted mixup cross-entropy plus a pairwise rank loss.
 
+Each term is one fused tape op per mixture or pair. The mixup term is the
+soft-target cross-entropy against lambda * e_emo + (1 - lambda) * e_neu
+(``numerics.soft_cross_entropy``, mixup: Zhang et al., arXiv:1710.09412);
+the rank term is RankNet's cost ``softplus(d) - lambda_diff * d`` of the
+score gap d (``numerics.bce_with_logits``, Burges et al., ICML 2005), whose
+gradient stays near +-1 for a wrongly ordered pair however large the gap.
+
 All functions accept Tensors (gradients flow) or plain floats/arrays (they
 are wrapped as constants). One pair gives scalar Tensors; the pair losses
 also take a batch of pairs and then return one value per pair.
@@ -13,8 +20,6 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
-
-PROB_CLAMP = 1e-7  # keeps log() finite without disturbing useful gradients
 
 
 @dataclass
@@ -31,28 +36,15 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-def cross_entropy(logits: Tensor, target) -> Tensor:
-    """Negative log-softmax of the target class: a scalar for 1-D logits and
-    one target, or one value per row for (B, n) logits and B targets."""
-    logits = nm.as_tensor(logits)
-    target = np.asarray(target)
-    if logits.data.ndim not in (1, 2) or target.shape != logits.shape[:-1]:
-        raise ValueError(f"need 1-D logits with one target or (B, n) logits with B "
-                         f"targets, got shapes {logits.shape} and {target.shape}")
-    if np.any(target < 0) or np.any(target >= logits.shape[-1]):
-        raise ValueError(f"class index {target} out of range for {logits.shape[-1]} classes")
-    if logits.data.ndim == 1:
-        target = int(target)
-    return nm.neg(nm.pick(nm.log_softmax(logits), target))
-
-
 def mixup_ce(logits_i: Tensor, logits_j: Tensor, lambda_i, lambda_j,
              y_emo, y_neu) -> Tensor:
     """Sum of the two weighted cross-entropy terms, one per mixture.
 
-    Each mixture is charged lambda * CE(emotional class) plus
-    (1 - lambda) * CE(neutral class). With (B, n) logits, per-pair weights
-    and per-pair emotional classes, the result is one loss per pair (B,).
+    Each mixture is charged one soft-target cross-entropy against lambda at
+    its emotional class and 1 - lambda at the neutral class, which is
+    lambda * CE(emotional class) + (1 - lambda) * CE(neutral class). With
+    (B, n) logits, per-pair weights and per-pair emotional classes, the
+    result is one loss per pair (B,).
     """
     lambda_i, lambda_j = np.asarray(lambda_i, dtype=float), np.asarray(lambda_j, dtype=float)
     y_emo = np.broadcast_to(y_emo, lambda_i.shape)
@@ -62,11 +54,19 @@ def mixup_ce(logits_i: Tensor, logits_j: Tensor, lambda_i, lambda_j,
     for lam in (lambda_i, lambda_j):
         if np.any(lam < 0.0) or np.any(lam > 1.0):
             raise ValueError(f"mixing weight must be in [0, 1], got {lam}")
-    l_i = nm.add(nm.scale(cross_entropy(logits_i, y_emo), lambda_i),
-                 nm.scale(cross_entropy(logits_i, y_neu), 1.0 - lambda_i))
-    l_j = nm.add(nm.scale(cross_entropy(logits_j, y_emo), lambda_j),
-                 nm.scale(cross_entropy(logits_j, y_neu), 1.0 - lambda_j))
-    return nm.add(l_i, l_j)
+    logits_i = nm.as_tensor(logits_i)
+    classes = np.arange(logits_i.shape[-1] if logits_i.data.ndim else 0)
+    for y in (y_emo, y_neu):
+        if np.any(y < 0) or np.any(y >= classes.size):
+            raise ValueError(f"class index {y} out of range for {classes.size} classes")
+
+    def target(lam):
+        # lambda at the emotional class, 1 - lambda at the neutral one
+        return np.where(classes == y_emo[..., None], lam[..., None],
+                        np.where(classes == y_neu[..., None], 1.0 - lam[..., None], 0.0))
+
+    return nm.add(nm.soft_cross_entropy(logits_i, target(lambda_i)),
+                  nm.soft_cross_entropy(logits_j, target(lambda_j)))
 
 
 def pair_probability(r_i: Tensor, r_j: Tensor) -> Tensor:
@@ -75,17 +75,14 @@ def pair_probability(r_i: Tensor, r_j: Tensor) -> Tensor:
     return nm.sigmoid(nm.sub(nm.as_tensor(r_i), nm.as_tensor(r_j)))
 
 
-def rank_loss(p_ij: Tensor, lambda_diff) -> Tensor:
-    """Binary cross-entropy between the rank probability and its soft target,
-    elementwise over a batch of pairs."""
+def rank_loss(r_i: Tensor, r_j: Tensor, lambda_diff) -> Tensor:
+    """Binary cross-entropy between the rank probability sigmoid(r_i - r_j)
+    and its soft target, elementwise over a batch of pairs: RankNet's cost
+    ``softplus(d) - lambda_diff * d`` of the score gap d."""
     lambda_diff = np.asarray(lambda_diff, dtype=float)
     if np.any(lambda_diff < 0.0) or np.any(lambda_diff > 1.0):
         raise ValueError(f"lambda_diff must be in [0, 1], got {lambda_diff}")
-    p = nm.clip(nm.as_tensor(p_ij), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    log_p = nm.log(p)
-    log_1mp = nm.log(nm.add_const(nm.neg(p), 1.0))
-    return nm.neg(nm.add(nm.scale(log_p, lambda_diff),
-                         nm.scale(log_1mp, 1.0 - lambda_diff)))
+    return nm.bce_with_logits(nm.sub(r_i, r_j), lambda_diff)
 
 
 def total_loss(l_mixup: Tensor, l_rank: Tensor, w: LossWeights) -> Tensor:

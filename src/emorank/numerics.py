@@ -8,8 +8,10 @@ requires them. The sweep uses the graph up as it goes: each op output drops
 its gradient, its backward closure and its inputs once its closure has run,
 so only leaves keep gradients afterwards, and a swept graph cannot be
 backpropagated again. The op surface is deliberately small: exactly the ops
-the intensity extractor and its losses call. The unfused ops the fused ones
-are tested against (per-head softmax attention, ReLU) live with the tests.
+the intensity extractor and its losses call, each loss term one op. The
+unfused ops the fused ones are tested against (per-head softmax attention,
+ReLU, log-softmax, and the log, clip and constant add of a sigmoid
+cross-entropy) live with the tests.
 
 Float64 is the oracle precision (all finite-difference checks run in it);
 float32 is supported for training throughput. An op inherits the dtype of
@@ -187,13 +189,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), "add", backward)
 
 
-def add_const(a: Tensor, c: float) -> Tensor:
-    def backward(g):
-        _accumulate(a, g)
-
-    return _make(a.data + c, (a,), "add_const", backward)
-
-
 def neg(a: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, -g, fresh=True)
@@ -298,35 +293,21 @@ def tanh(a: Tensor) -> Tensor:
     return _make(out_data, (a,), "tanh", backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function in ``x``'s dtype. Only exp(-|x|) is taken, on
+    both branches, so large |x| cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.asarray(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), dtype=x.dtype)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    # exp on the negative branch only, so large |x| cannot overflow
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out_data = np.asarray(out_data, dtype=x.dtype)
+    out_data = _sigmoid(a.data)
 
     def backward(g):
         _accumulate(a, g * out_data * (1.0 - out_data), fresh=True)
 
     return _make(out_data, (a,), "sigmoid", backward)
-
-
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, g / a.data, fresh=True)
-
-    return _make(np.log(a.data), (a,), "log", backward)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only where nothing clipped."""
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g):
-        _accumulate(a, g * inside, fresh=True)
-
-    return _make(np.clip(a.data, lo, hi), (a,), "clip", backward)
 
 
 # uniforms drawn per call while building dropout masks: the float64 scratch
@@ -397,20 +378,6 @@ def dropout(a: Tensor, p: float, *, keep: np.ndarray) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # normalization and attention building blocks
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ValueError(f"log_softmax axis {axis} out of range for {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    soft = np.exp(out_data)
-
-    def backward(g):
-        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True), fresh=True)
-
-    return _make(out_data, (a,), "log_softmax", backward)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -745,6 +712,54 @@ def pick(a: Tensor, index) -> Tensor:
         _accumulate(a, full, fresh=True)
 
     return _make(a.data[index], (a,), "pick", backward)
+
+
+# ---------------------------------------------------------------------------
+# losses
+
+
+def soft_cross_entropy(logits: Tensor, target) -> Tensor:
+    """Cross-entropy of softmax(logits) against a target distribution over
+    the last axis: a scalar for (n,) logits, one value per row for (B, n).
+
+    ``target`` has the logits' shape and is cast to their dtype; a one-hot
+    target gives the plain cross-entropy of its class. The value is
+    ``-(target * log_softmax(logits)).sum(-1)``, and the gradient
+    ``softmax(logits) * target.sum(-1) - target``.
+    """
+    logits = as_tensor(logits)
+    z = logits.data
+    target = np.asarray(target, dtype=z.dtype)
+    if z.ndim not in (1, 2) or target.shape != z.shape:
+        raise ValueError(f"need (n,) or (B, n) logits and a target of their shape, "
+                         f"got {logits.shape} and {target.shape}")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def backward(g):
+        _accumulate(logits, g[..., None] * (np.exp(ls) * target.sum(axis=-1, keepdims=True)
+                                            - target), fresh=True)
+
+    return _make(-(target * ls).sum(axis=-1), (logits,), "soft_cross_entropy", backward)
+
+
+def bce_with_logits(d: Tensor, target) -> Tensor:
+    """Binary cross-entropy of sigmoid(d) against a target probability (one,
+    or one per element of ``d``), taken from the logit ``d`` itself:
+    ``max(d, 0) + log1p(exp(-|d|)) - target * d``.
+
+    Finite for every finite ``d``, and its gradient ``sigmoid(d) - target``
+    tends to -target or 1 - target at large |d|, not to zero.
+    """
+    d = as_tensor(d)
+    x = d.data
+    target = np.broadcast_to(np.asarray(target, dtype=x.dtype), x.shape)
+
+    def backward(g):
+        _accumulate(d, g * (_sigmoid(x) - target), fresh=True)
+
+    return _make(np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x))) - target * x, (d,),
+                 "bce_with_logits", backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 One JSON document covers feature extraction, the extractor architecture,
 training, codebook construction, synthetic data, and the gradient check.
-Unknown keys are rejected (typos must not silently fall back to defaults),
-every value has a documented default, and the fully resolved document has a
+Unknown keys and values of the wrong JSON type are rejected (typos must not
+silently fall back to defaults or fail deep inside a command), every value
+has a documented default, and the fully resolved document has a
 stable hash that output artifacts record as provenance.
 
 Seed precedence: command-line flag > config file > EMORANK_SEED env > 0.
@@ -76,6 +77,26 @@ DEFAULTS: dict = {
 }
 
 
+def _check_type(default, value, key: str):
+    """Raise :class:`ConfigError` unless ``value`` has the JSON type of its
+    default: an integer (not a boolean), a number, a string or a list. A key
+    whose default is null takes null or a number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None:
+        ok, kind = value is None or number, "null or a number"
+    elif isinstance(default, int):
+        ok, kind = number and isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        ok, kind = number, "a number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:
+        ok, kind = isinstance(value, list), "a list"
+    if not ok:
+        raise ConfigError(f"config key '{key}' must be {kind}, "
+                          f"got {type(value).__name__} {value!r}")
+
+
 def _merge(defaults, supplied, path: str):
     if not isinstance(supplied, dict):
         raise ConfigError(f"config section '{path or '<root>'}' must be an object, "
@@ -87,11 +108,14 @@ def _merge(defaults, supplied, path: str):
         raise ConfigError(f"unknown config key(s) {unknown}{where}; known: {known}")
     out = {}
     for key, default in defaults.items():
+        where = f"{path}.{key}" if path else key
         if isinstance(default, dict):
-            out[key] = _merge(default, supplied.get(key, {}),
-                              f"{path}.{key}" if path else key)
+            out[key] = _merge(default, supplied.get(key, {}), where)
+        elif key in supplied:
+            _check_type(default, supplied[key], where)
+            out[key] = supplied[key]
         else:
-            out[key] = supplied.get(key, copy.deepcopy(default))
+            out[key] = copy.deepcopy(default)
     return out
 
 

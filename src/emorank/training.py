@@ -25,6 +25,7 @@ from .extractor import (ExtractorConfig, ModelParams, _read_model_section,
                         forward_intensity, init_params, pool, project_score,
                         read_tensor_table, write_tensor_table)
 from .features import FeatureMatrix, read_features
+# pair_probability is not called here; perfbench's tracer patches it by name (else KeyError)
 from .losses import LossWeights, mixup_ce, pair_probability, rank_loss, total_loss
 from .mixup import MixPair, make_mix_pair, normalized_lambda_diff
 from .numerics import AdamState, NonFiniteError, Tensor
@@ -214,7 +215,7 @@ def pair_losses(params: ModelParams, pairs: list[MixPair], *, train: bool = True
     rows_i, rows_j = np.arange(0, 2 * len(pairs), 2), np.arange(1, 2 * len(pairs), 2)
     l_mix = mixup_ce(nm.take_rows(logits, rows_i), nm.take_rows(logits, rows_j),
                      lambda_i, lambda_j, y_emo, y_neu=0)
-    l_rank = rank_loss(pair_probability(nm.take_rows(r, rows_i), nm.take_rows(r, rows_j)),
+    l_rank = rank_loss(nm.take_rows(r, rows_i), nm.take_rows(r, rows_j),
                        normalized_lambda_diff(lambda_i, lambda_j))
     return nm.mean_all(l_mix), nm.mean_all(l_rank)
 

@@ -3,10 +3,12 @@
 The library keeps exactly the ops the pipeline calls. These are the unfused
 pieces the fused ops are checked against (per-head attention from slices, a
 transpose, softmax and a concat; a separate ReLU after ``conv1d``; an affine
-layer's bias as a separate row-broadcast add) and the elementwise product
-and full sum that the finite-difference tests read gradients through. They
-record their nodes with ``nm._make`` and send gradients through
-``nm._accumulate``, so they join a library graph like any library op.
+layer's bias as a separate row-broadcast add; cross-entropy as a
+log-softmax and pick chain, and the rank term as a sigmoid, clip, log chain) and
+the elementwise product and full sum that the finite-difference tests read
+gradients through. They record their nodes with ``nm._make`` and send
+gradients through ``nm._accumulate``, so they join a library graph like any
+library op.
 """
 
 import numpy as np
@@ -101,3 +103,60 @@ def softmax(a, axis: int = -1):
         nm._accumulate(a, out_data * (g - inner), fresh=True)
 
     return nm._make(out_data, (a,), "softmax", backward)
+
+
+def log_softmax(a, axis: int = -1):
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise ValueError(f"log_softmax axis {axis} out of range for {a.shape}")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out_data = shifted - lse
+    soft = np.exp(out_data)
+
+    def backward(g):
+        nm._accumulate(a, g - soft * g.sum(axis=axis, keepdims=True), fresh=True)
+
+    return nm._make(out_data, (a,), "log_softmax", backward)
+
+
+def log(a):
+    def backward(g):
+        nm._accumulate(a, g / a.data, fresh=True)
+
+    return nm._make(np.log(a.data), (a,), "log", backward)
+
+
+def clip(a, lo: float, hi: float):
+    """Clamp values to [lo, hi]; gradient passes only where nothing clipped."""
+    inside = (a.data >= lo) & (a.data <= hi)
+
+    def backward(g):
+        nm._accumulate(a, g * inside, fresh=True)
+
+    return nm._make(np.clip(a.data, lo, hi), (a,), "clip", backward)
+
+
+def add_const(a, c: float):
+    def backward(g):
+        nm._accumulate(a, g)
+
+    return nm._make(a.data + c, (a,), "add_const", backward)
+
+
+def cross_entropy(logits, target):
+    """Negative log-softmax of the target class: a scalar for 1-D logits and
+    one class, one value per row for (B, n) logits and B classes."""
+    logits = nm.as_tensor(logits)
+    if logits.data.ndim == 1:
+        target = int(target)
+    return nm.neg(nm.pick(log_softmax(logits), target))
+
+
+def sigmoid_bce(d, target, clamp: float = 1e-7):
+    """The rank term as binary cross-entropy of a clamped probability:
+    sigmoid(d), clipped to [clamp, 1 - clamp], then -(target * log p +
+    (1 - target) * log(1 - p)). Exact while the clamp is inactive."""
+    target = np.asarray(target, dtype=float)
+    p = clip(nm.sigmoid(d), clamp, 1.0 - clamp)
+    log_1mp = log(add_const(nm.neg(p), 1.0))
+    return nm.neg(nm.add(nm.scale(log(p), target), nm.scale(log_1mp, 1.0 - target)))

@@ -67,7 +67,7 @@ def test_gate_01_whole_model_gradients(capsys):
 
 
 def test_gate_02_loss_identities(capsys):
-    ln2_err = abs(rank_loss(0.5, 0.5).item() - math.log(2.0))
+    ln2_err = abs(rank_loss(0.5, 0.5, 0.5).item() - math.log(2.0))
 
     rng = np.random.default_rng(1)
     worst_sym = 0.0

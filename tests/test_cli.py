@@ -403,11 +403,14 @@ def test_format_errors_exit_4(pipeline, tmp_path, capsys):
     wide = json.loads(json.dumps(good))
     wide["angry"]["levels"]["L1"] = [1.0, 2.0, 3.0]
     no_levels = {"angry": {"boundaries": [0.5]}, "neutral": [0.0, 0.0]}
+    extra_bounds = json.loads(json.dumps(good))
+    extra_bounds["angry"]["boundaries"] = [0.1, 0.2, 0.3]
     labels = tmp_path / "c.labels"
     labels.write_text("#levels v1\nangry\tL1\n")
     align_ok = "#phonemes v1\nAH\t0.0\t0.3\n"
     cases = [("{nope", align_ok), (json.dumps(no_levels), align_ok),
              (json.dumps(wide), align_ok), (json.dumps({"neutral": 5}), align_ok),
+             (json.dumps(extra_bounds), align_ok),
              (json.dumps(good), "#phonemes v1\nAH\tzero\t0.3\n")]
     for cb_text, align_text in cases:
         cb, align, out = tmp_path / "cb.json", tmp_path / "c.align", tmp_path / "c.emof"
@@ -420,6 +423,23 @@ def test_format_errors_exit_4(pipeline, tmp_path, capsys):
     cb.write_text(json.dumps(good))
     align.write_text(align_ok)
     assert main(["condition", str(cb), str(labels), str(out), "--alignment", str(align)]) == 0
+    # config values of the wrong JSON type, rejected before anything is written
+    typed = tmp_path / "typed"
+    typed.mkdir()
+    for command, doc, key in [("train", {"train": {"iterations": "5"}}, "train.iterations"),
+                              ("train", {"extractor": {"dropout": "0.1"}}, "extractor.dropout"),
+                              ("codebook", {"codebook": {"n_bins": "3"}}, "codebook.n_bins")]:
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(doc))
+        if command == "train":
+            args = [pipeline["corpus"], str(typed / "m.emom"), "--checkpoint-dir",
+                    str(typed / "ckpt")]
+        else:
+            args = [pipeline["model"], pipeline["corpus"], str(typed / "cb.json")]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *args]) == 4, doc
+        assert key in capsys.readouterr().err
+        assert os.listdir(typed) == []
 
 
 def test_dimension_errors_exit_5(pipeline, tmp_path):

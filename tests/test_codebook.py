@@ -359,8 +359,14 @@ def test_load_codebook_requires_neutral(tmp_path):
     no_levels = {"angry": {"boundaries": [0.5]}, "neutral": [0.0, 0.0]}
     wide = {"angry": {"boundaries": [0.5], "levels": {"L0": [0.0, 1.0], "L1": [1.0, 2.0, 3.0]}},
             "neutral": [0.0, 0.0]}
+    # level_for_score would index past the levels with these boundaries
+    extra_bounds = {"angry": {**good["angry"], "boundaries": [0.1, 0.2, 0.3]},
+                    "neutral": [0.0, 0.0]}
+    three = {"L0": [0.0, 1.0], "L1": [1.0, 2.0], "L2": [2.0, 3.0]}
+    falling = {"angry": {"boundaries": [0.6, 0.4], "levels": three}, "neutral": [0.0, 0.0]}
     for text in ("{nope", "[]", json.dumps({"neutral": 5}), json.dumps(no_levels),
-                 json.dumps(wide), json.dumps({**good, "angry": 3})):
+                 json.dumps(wide), json.dumps({**good, "angry": 3}),
+                 json.dumps(extra_bounds), json.dumps(falling)):
         path.write_text(text)
         with pytest.raises(FileFormatError):
             load_codebook(path)

@@ -39,6 +39,27 @@ def test_unknown_keys_rejected_with_path():
         RunConfig({"train": 5})
 
 
+def test_values_of_the_wrong_type_rejected_with_key():
+    for doc, key in [({"train": {"iterations": "5"}}, "train.iterations"),
+                     ({"train": {"iterations": 5.0}}, "train.iterations"),
+                     ({"train": {"iterations": True}}, "train.iterations"),
+                     ({"extractor": {"dropout": "0.1"}}, "extractor.dropout"),
+                     ({"extractor": {"dropout": False}}, "extractor.dropout"),
+                     ({"codebook": {"n_bins": "3"}}, "codebook.n_bins"),
+                     ({"codebook": {"policy": 3}}, "codebook.policy"),
+                     ({"synth": {"frame_length_range": 40}}, "synth.frame_length_range"),
+                     ({"seed": "7"}, "seed"),
+                     ({"features": {"fmax_hz": "8000"}}, "features.fmax_hz")]:
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            RunConfig(doc)
+    # a float key takes an integer; a null default takes null or a number
+    cfg = RunConfig({"extractor": {"dropout": 0}, "seed": None,
+                     "features": {"fmax_hz": 8000}})
+    assert cfg.doc["extractor"]["dropout"] == 0
+    assert cfg.doc["features"]["fmax_hz"] == 8000
+    assert RunConfig({"features": {"fmax_hz": 7999.5}}).doc["features"]["fmax_hz"] == 7999.5
+
+
 def test_from_file_and_bad_json(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"codebook": {"n_bins": 5}}))
