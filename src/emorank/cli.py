@@ -100,13 +100,17 @@ def cmd_featurize(args) -> int:
     labels = {}
     with open(args.labels, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["filename", "speaker", "emotion"]:
-            raise FileFormatError(f"labels CSV must start with header "
+            raise FileFormatError(f"{args.labels}:1: labels CSV must start with header "
                                   f"filename,speaker,emotion; got {header}")
         for row in reader:
-            if row:
-                labels[row[0]] = (row[1], row[2])
+            if not row:
+                continue
+            if len(row) < 3:
+                raise FileFormatError(f"{args.labels}:{reader.line_num}: expected "
+                                      f"filename,speaker,emotion; got {row}")
+            labels[row[0]] = (row[1], row[2])
 
     wavs = sorted(p for p in os.listdir(args.wav_dir) if p.lower().endswith(".wav"))
     if not wavs:

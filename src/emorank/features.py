@@ -5,6 +5,11 @@ are log-mel magnitudes, column -2 is pitch as log-Hz with 0 marking unvoiced
 frames, and column -1 is log frame energy. All three extractors share one
 framing (no centering): T = floor((N - win) / hop) + 1.
 
+Pitch is searched in 60-400 Hz by short-time autocorrelation. The
+autocorrelation runs on the shortest fast FFT length N with
+N >= win + (largest lag read), the length at which circular and linear
+autocorrelation agree on every lag that is read.
+
 Feature matrices persist in the EMOF binary format described at the bottom
 of this file.
 """
@@ -29,6 +34,9 @@ PITCH_FMIN_HZ = 60.0
 PITCH_FMAX_HZ = 400.0
 PITCH_VOICING_THRESHOLD = 0.3
 
+# frame rows per FFT block in _autocorrelation; bounds its scratch arrays
+_ACF_BLOCK_ROWS = 32
+
 
 @dataclass
 class FeatureConfig:
@@ -50,6 +58,9 @@ class FeatureConfig:
             raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if self.window_samples < 1:
+            raise ValueError(f"window_ms {self.window_ms} is under one sample at "
+                             f"{self.sample_rate_hz} Hz")
 
     @property
     def window_samples(self) -> int:
@@ -171,14 +182,50 @@ def extract_energy(audio: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     return np.log(np.maximum(norms, LOG_FLOOR))[:, None]
 
 
+def _fast_fft_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, the lengths pocketfft is fastest at.
+
+    Equal to ``scipy.fft.next_fast_len(n, real=True)``, without importing
+    ``scipy.fft`` (about 7 MB of resident memory) into every process that
+    imports this module."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _autocorrelation(frames: np.ndarray, n_lags: int) -> np.ndarray:
+    """(T, n_lags) linear autocorrelation of each row at lags 0..n_lags-1.
+
+    Runs on the shortest fast FFT length free of circular aliasing at those
+    lags (N - (n_lags - 1) >= win), ``_ACF_BLOCK_ROWS`` rows at a time. Rows
+    are transformed independently, so the blocking changes no bits.
+    """
+    n_rows, win = frames.shape
+    nfft = _fast_fft_len(win + n_lags - 1)
+    acf = np.empty((n_rows, n_lags))
+    for lo in range(0, n_rows, _ACF_BLOCK_ROWS):
+        spec = np.fft.rfft(frames[lo:lo + _ACF_BLOCK_ROWS], n=nfft, axis=1)
+        power = spec.real ** 2 + spec.imag ** 2
+        acf[lo:lo + _ACF_BLOCK_ROWS] = np.fft.irfft(power, n=nfft, axis=1)[:, :n_lags]
+    return acf
+
+
 def extract_pitch(audio: np.ndarray, cfg: FeatureConfig,
                   fmin_hz: float = PITCH_FMIN_HZ, fmax_hz: float = PITCH_FMAX_HZ,
                   voicing_threshold: float = PITCH_VOICING_THRESHOLD) -> np.ndarray:
     """(T, 1) per-frame F0 as log-Hz; unvoiced frames are exactly 0.
 
     Short-time autocorrelation with peak picking in the candidate lag range
-    and parabolic refinement. A frame is voiced when its normalized peak
-    exceeds ``voicing_threshold``.
+    (``fmin_hz``..``fmax_hz``, by default 60-400 Hz) and parabolic
+    refinement. A frame is voiced when its normalized peak exceeds
+    ``voicing_threshold``. The autocorrelation is computed by FFT at the
+    shortest fast length N >= win + lag_max + 1, so that no lag read by the
+    refinement (up to lag_max + 1) is aliased.
     """
     frames = _frame_signal(audio, cfg)
     frames = frames - frames.mean(axis=1, keepdims=True)
@@ -189,11 +236,7 @@ def extract_pitch(audio: np.ndarray, cfg: FeatureConfig,
     if lag_min >= lag_max:
         raise ValueError("analysis window too short for the pitch search range")
 
-    # FFT-based autocorrelation of every frame at once
-    nfft = 1 << int(math.ceil(math.log2(2 * win)))
-    spec = np.fft.rfft(frames, n=nfft, axis=1)
-    acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n=nfft, axis=1)[:, :win]
-
+    acf = _autocorrelation(frames, lag_max + 2)
     out = np.zeros((frames.shape[0], 1))
     rows = np.arange(frames.shape[0])
     r0 = acf[:, 0]
@@ -226,6 +269,8 @@ def featurize_audio(audio: np.ndarray, cfg: FeatureConfig, source_id: str,
         if pitch.shape[0] != mel.shape[0]:
             raise ValueError(
                 f"pitch override has {pitch.shape[0]} frames, features have {mel.shape[0]}")
+        if not np.all(np.isfinite(pitch)):
+            raise ValueError("pitch override contains non-finite F0 values")
         if np.any(pitch < 0):
             raise ValueError("pitch override contains negative F0 values")
         pitch = np.where(pitch > 0, np.log(np.maximum(pitch, 1e-6)), 0.0)[:, None]
@@ -265,9 +310,12 @@ def load_pitch_csv(path) -> np.ndarray:
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: not a number: {line!r}") from exc
+            if not math.isfinite(value):
+                raise FileFormatError(f"{path}:{lineno}: not a finite number: {line!r}")
+            values.append(value)
     return np.asarray(values, dtype=np.float64)
 
 

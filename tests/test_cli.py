@@ -329,6 +329,55 @@ def test_featurize_bad_labels_header(tmp_path):
     assert main(["featurize", str(wav_dir), str(labels), str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("text,where", [
+    ("", "labels.csv:1:"),
+    ("filename,speaker,emotion\na.wav,s0,angry\n\nb.wav,s0\n", "labels.csv:4:"),
+])
+def test_featurize_malformed_labels_exit_4(tmp_path, capsys, text, where):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    write_wav(wav_dir / "a.wav")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(text)
+    assert main(["featurize", str(wav_dir), str(labels), str(tmp_path / "o")]) == 4
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_featurize_non_finite_pitch_csv_fails_the_file(tmp_path, capsys):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    write_wav(wav_dir / "a.wav")
+    write_wav(wav_dir / "b.wav")
+    pitch_dir = tmp_path / "pitch"
+    pitch_dir.mkdir()
+    (pitch_dir / "a.f0.csv").write_text("150.0\n" * 3 + "nan\n" + "150.0\n" * 3)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("filename,speaker,emotion\na.wav,s0,angry\nb.wav,s0,angry\n")
+    out_dir = tmp_path / "feat"
+    rc = main(["featurize", str(wav_dir), str(labels), str(out_dir),
+               "--pitch-dir", str(pitch_dir)])
+    captured = capsys.readouterr()
+    assert rc == 6
+    assert "a.f0.csv:4: not a finite number" in captured.err
+    assert sorted(p for p in os.listdir(out_dir) if p.endswith(".emof")) == ["b.emof"]
+
+
+def test_featurize_window_under_one_sample_exits_5(tmp_path, capsys):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    write_wav(wav_dir / "a.wav")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("filename,speaker,emotion\na.wav,s0,angry\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"features": {"window_ms": 0.01}}))
+    out_dir = tmp_path / "feat"
+    assert main(["featurize", "--config", str(cfg), str(wav_dir), str(labels),
+                 str(out_dir)]) == 5
+    assert "under one sample" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

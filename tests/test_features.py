@@ -5,11 +5,14 @@ import pytest
 import scipy.io.wavfile
 
 from emorank.binio import ChecksumError, FileFormatError
-from emorank.features import (FeatureConfig, FeatureMatrix, LOG_FLOOR,
-                              extract_energy, extract_mel, extract_pitch,
-                              featurize_audio, load_pitch_csv, load_wav,
-                              mel_filterbank, read_emof, read_features,
-                              write_emof, write_features)
+from emorank.features import (PITCH_FMAX_HZ, PITCH_FMIN_HZ,
+                              PITCH_VOICING_THRESHOLD, FeatureConfig,
+                              FeatureMatrix, LOG_FLOOR, _autocorrelation,
+                              _fast_fft_len, _frame_signal, extract_energy,
+                              extract_mel, extract_pitch, featurize_audio,
+                              load_pitch_csv, load_wav, mel_filterbank,
+                              read_emof, read_features, write_emof,
+                              write_features)
 
 CFG = FeatureConfig()
 
@@ -93,18 +96,36 @@ def test_pitch_white_noise_mostly_unvoiced():
     assert (pitch == 0).mean() > 0.9
 
 
-def _pitch_per_frame_loop(audio, cfg):
-    """The per-frame peak refinement extract_pitch vectorizes, kept as its oracle."""
-    from emorank.features import (PITCH_FMAX_HZ, PITCH_FMIN_HZ,
-                                  PITCH_VOICING_THRESHOLD, _frame_signal)
+def _lag_range(cfg, fmin_hz=PITCH_FMIN_HZ, fmax_hz=PITCH_FMAX_HZ):
+    sr, win = cfg.sample_rate_hz, cfg.window_samples
+    return max(2, int(sr / fmax_hz)), min(win - 2, int(np.ceil(sr / fmin_hz)))
+
+
+def _centered_frames(audio, cfg):
     frames = _frame_signal(audio, cfg)
-    frames = frames - frames.mean(axis=1, keepdims=True)
-    win, sr = cfg.window_samples, cfg.sample_rate_hz
-    lag_min = max(2, int(sr / PITCH_FMAX_HZ))
-    lag_max = min(win - 2, int(np.ceil(sr / PITCH_FMIN_HZ)))
-    nfft = 1 << int(np.ceil(np.log2(2 * win)))
+    return frames - frames.mean(axis=1, keepdims=True)
+
+
+def _acf_2048(frames, n_lags):
+    """The autocorrelation extract_pitch used before: a power-of-two FFT of
+    at least twice the window, kept as a reference."""
+    nfft = 1 << int(np.ceil(np.log2(2 * frames.shape[1])))
     spec = np.fft.rfft(frames, n=nfft, axis=1)
-    acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n=nfft, axis=1)[:, :win]
+    return np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n=nfft, axis=1)[:, :n_lags]
+
+
+def _acf_direct(frames, n_lags):
+    win = frames.shape[1]
+    return np.array([[np.dot(f[:win - lag], f[lag:]) for lag in range(n_lags)]
+                     for f in frames])
+
+
+def _pitch_per_frame_loop(audio, cfg, autocorrelation=_autocorrelation):
+    """The per-frame peak refinement extract_pitch vectorizes, kept as its oracle."""
+    frames = _centered_frames(audio, cfg)
+    sr = cfg.sample_rate_hz
+    lag_min, lag_max = _lag_range(cfg)
+    acf = autocorrelation(frames, lag_max + 2)
     out = np.zeros((frames.shape[0], 1))
     r0 = acf[:, 0]
     best = np.argmax(acf[:, lag_min:lag_max + 1], axis=1) + lag_min
@@ -122,7 +143,7 @@ def _pitch_per_frame_loop(audio, cfg):
     return out
 
 
-def test_pitch_bitwise_equals_per_frame_loop():
+def _pitch_test_signals():
     rng = np.random.default_rng(17)
     t = np.arange(24000) / 16000
     signals = [np.zeros(16000), rng.normal(0, 0.1, 12000)]
@@ -131,10 +152,58 @@ def test_pitch_bitwise_equals_per_frame_loop():
         gate = (np.sin(2 * np.pi * rng.uniform(1.0, 4.0) * t) > rng.uniform(-0.5, 0.5))
         signals.append(gate * np.sin(2 * np.pi * f0 * t) * rng.uniform(0.01, 0.9)
                        + rng.normal(0, rng.uniform(0.0, 0.2), t.size))
+    return signals
+
+
+def test_pitch_bitwise_equals_per_frame_loop():
+    signals = _pitch_test_signals()
     for audio in signals:
         fast, slow = extract_pitch(audio, CFG), _pitch_per_frame_loop(audio, CFG)
         assert fast.tobytes() == slow.tobytes()
     assert any((extract_pitch(a, CFG) > 0).any() for a in signals[2:])
+
+
+def test_featurize_float32_bitwise_equals_2048_point_reference():
+    # the shorter FFT moves float64 pitch by ~1e-14 at most; the float32
+    # feature matrix written to .emof files does not change
+    for audio in _pitch_test_signals():
+        reference = np.concatenate(
+            [extract_mel(audio, CFG), _pitch_per_frame_loop(audio, CFG, _acf_2048),
+             extract_energy(audio, CFG)], axis=1).astype(np.float32)
+        fm = featurize_audio(audio, CFG, "t", "angry")
+        assert fm.frames.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("fmin_hz", [PITCH_FMIN_HZ, 40.0])
+def test_autocorrelation_matches_direct_sum_and_2048_point_fft(fmin_hz):
+    # fmin 40 Hz reads lags up to 401, so the FFT is longer than at 60 Hz
+    _, lag_max = _lag_range(CFG, fmin_hz=fmin_hz)
+    rng = np.random.default_rng(3)
+    t = np.arange(6000) / 16000
+    audio = (np.sin(2 * np.pi * 157.0 * t) * (1 + 0.5 * np.sin(2 * np.pi * 3 * t))
+             + rng.normal(0, 0.05, t.size))
+    frames = _centered_frames(audio, CFG)
+    acf = _autocorrelation(frames, lag_max + 2)
+    assert acf.shape == (frames.shape[0], lag_max + 2)
+    tol = 1e-12 * acf[:, :1]
+    assert np.all(np.abs(acf - _acf_direct(frames, lag_max + 2)) <= tol)
+    assert np.all(np.abs(acf - _acf_2048(frames, lag_max + 2)) <= tol)
+
+
+def test_fast_fft_len_equals_scipy_next_fast_len():
+    import scipy.fft
+    for n in range(1, 5000):
+        assert _fast_fft_len(n) == scipy.fft.next_fast_len(n, real=True)
+    assert _fast_fft_len(CFG.window_samples + 268) == 1080
+
+
+@pytest.mark.parametrize("n_frames", [1, 31, 32, 33, 64, 65])
+def test_autocorrelation_blocks_are_bitwise_per_frame(n_frames):
+    rng = np.random.default_rng(n_frames)
+    frames = rng.normal(size=(n_frames, CFG.window_samples))
+    acf = _autocorrelation(frames, 269)
+    single = np.concatenate([_autocorrelation(f[None], 269) for f in frames])
+    assert acf.tobytes() == single.tobytes()
 
 
 def test_filterbank_cached_read_only_and_keyed_by_value():
@@ -190,6 +259,11 @@ def test_pitch_override():
         featurize_audio(audio, CFG, "t", "angry", pitch_override=np.ones(7))
     with pytest.raises(ValueError):
         featurize_audio(audio, CFG, "t", "angry", pitch_override=-override)
+    for bad in (np.nan, np.inf):
+        broken = override.copy()
+        broken[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            featurize_audio(audio, CFG, "t", "angry", pitch_override=broken)
 
 
 def test_feature_matrix_validation():
@@ -214,6 +288,10 @@ def test_feature_config_validation():
         FeatureConfig(overlap_ratio=1.0)
     with pytest.raises(ValueError):
         FeatureConfig(n_mels=0)
+    # 0.01 ms rounds to 0 samples at 16 kHz
+    with pytest.raises(ValueError, match="under one sample"):
+        FeatureConfig(window_ms=0.01)
+    assert FeatureConfig(window_ms=0.04).window_samples == 1
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +327,10 @@ def test_load_pitch_csv(tmp_path):
     bad.write_text("abc\n")
     with pytest.raises(FileFormatError):
         load_pitch_csv(bad)
+    for token in ("nan", "inf", "-inf", "NaN"):
+        bad.write_text(f"120\n{token}\n")
+        with pytest.raises(FileFormatError, match=":2: not a finite number"):
+            load_pitch_csv(bad)
 
 
 # ---------------------------------------------------------------------------
