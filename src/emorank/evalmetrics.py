@@ -1,4 +1,9 @@
-"""Objective evaluation: mel-cepstral distortion and rank correlation."""
+"""Objective evaluation: mel-cepstral distortion and rank correlation.
+
+``scipy.fft`` and ``scipy.stats`` are imported by the functions that use
+them, not here: every command imports this module through the CLI, and
+the two together cost about a second and 50 MB of resident memory.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.stats
 
 MCD_SCALE = 10.0 / np.log(10.0)
 
@@ -43,6 +46,7 @@ class MetricReport:
 
 def mel_cepstra(log_mel: np.ndarray, order: int = 13) -> np.ndarray:
     """Cepstra from log-mel frames via orthonormal DCT-II; keeps c0..c_order."""
+    import scipy.fft
     log_mel = np.asarray(log_mel, dtype=np.float64)
     if log_mel.ndim != 2:
         raise ValueError(f"expected (T, n_mels), got shape {log_mel.shape}")
@@ -78,6 +82,7 @@ def mcd_report(pairs: list) -> MetricReport:
 
 def spearman(xs, ys) -> float:
     """Rank correlation: Pearson over average-tie fractional ranks."""
+    import scipy.stats
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:

@@ -166,17 +166,32 @@ def init_params(cfg: ExtractorConfig, emotions: list[str],
 _POSENC_CACHE: dict[tuple, np.ndarray] = {}
 
 
+def _position_table(t_len: int, dim: int, dtype) -> np.ndarray:
+    """The (t_len, dim) sinusoidal position table, computed afresh."""
+    pos = np.arange(t_len, dtype=np.float64)[:, None]
+    idx = np.arange(dim, dtype=np.float64)[None, :]
+    angles = pos / np.power(10000.0, 2.0 * (idx // 2) / dim)
+    table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
+    return np.asarray(table, dtype=dtype)
+
+
 def positional_encoding(t_len: int, dim: int, dtype=np.float64) -> np.ndarray:
-    """Standard sinusoidal position table, cached per (T, dim, dtype)."""
-    key = (t_len, dim, np.dtype(dtype).str)
-    cached = _POSENC_CACHE.get(key)
-    if cached is None:
-        pos = np.arange(t_len, dtype=np.float64)[:, None]
-        idx = np.arange(dim, dtype=np.float64)[None, :]
-        angles = pos / np.power(10000.0, 2.0 * (idx // 2) / dim)
-        table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
-        cached = _POSENC_CACHE[key] = np.asarray(table, dtype=dtype)
-    return cached
+    """Standard sinusoidal position table, (t_len, dim) in ``dtype``, as a
+    read-only view.
+
+    Every entry is computed from its own position and channel alone, so the
+    table of T rows is bitwise the first T rows of any longer one. One
+    read-only table is kept per (dim, dtype), grown geometrically to the
+    longest length asked for, and each call returns a view of its first
+    ``t_len`` rows: a corpus of many distinct lengths costs one table.
+    """
+    key = (dim, np.dtype(dtype).str)
+    table = _POSENC_CACHE.get(key)
+    if table is None or table.shape[0] < t_len:
+        rows = t_len if table is None else max(t_len, 2 * table.shape[0])
+        table = _POSENC_CACHE[key] = _position_table(rows, dim, dtype)
+        table.flags.writeable = False
+    return table[:t_len]
 
 
 def draw_dropout_masks(cfg: ExtractorConfig, t_len: int,

@@ -5,7 +5,8 @@ are log-mel magnitudes, column -2 is pitch as log-Hz with 0 marking unvoiced
 frames, and column -1 is log frame energy. All three extractors share one
 framing (no centering): T = floor((N - win) / hop) + 1.
 
-Pitch is searched in 60-400 Hz by short-time autocorrelation. The
+Pitch is searched in 60-400 Hz by short-time autocorrelation; a frame
+whose best lag in that range is not a local maximum is unvoiced. The
 autocorrelation runs on the shortest fast FFT length N with
 N >= win + (largest lag read), the length at which circular and linear
 autocorrelation agree on every lag that is read.
@@ -222,10 +223,12 @@ def extract_pitch(audio: np.ndarray, cfg: FeatureConfig,
 
     Short-time autocorrelation with peak picking in the candidate lag range
     (``fmin_hz``..``fmax_hz``, by default 60-400 Hz) and parabolic
-    refinement. A frame is voiced when its normalized peak exceeds
-    ``voicing_threshold``. The autocorrelation is computed by FFT at the
-    shortest fast length N >= win + lag_max + 1, so that no lag read by the
-    refinement (up to lag_max + 1) is aliased.
+    refinement. A frame is voiced when the picked lag is a local maximum of
+    the autocorrelation and its normalized peak exceeds
+    ``voicing_threshold``, so a tone outside the range reads as unvoiced,
+    not as a pitch on the range's edge. The autocorrelation is computed by
+    FFT at the shortest fast length N >= win + lag_max + 1, so that no lag
+    read by the refinement (up to lag_max + 1) is aliased.
     """
     frames = _frame_signal(audio, cfg)
     frames = frames - frames.mean(axis=1, keepdims=True)
@@ -242,7 +245,9 @@ def extract_pitch(audio: np.ndarray, cfg: FeatureConfig,
     r0 = acf[:, 0]
     lag = np.argmax(acf[:, lag_min:lag_max + 1], axis=1) + lag_min
     y0, y1, y2 = acf[rows, lag - 1], acf[rows, lag], acf[rows, lag + 1]
-    voiced = r0 > LOG_FLOOR
+    # an argmax on the range's edge that is still rising toward a period
+    # outside the range is no peak: only a local maximum can be voiced
+    voiced = (r0 > LOG_FLOOR) & (y1 >= y0) & (y1 >= y2)
     voiced[voiced] = y1[voiced] / r0[voiced] >= voicing_threshold
     # parabolic interpolation around the integer peak
     y0, y1, y2, lag = y0[voiced], y1[voiced], y2[voiced], lag[voiced]

@@ -13,6 +13,13 @@ unfused ops the fused ones are tested against (per-head softmax attention,
 ReLU, log-softmax, and the log, clip and constant add of a sigmoid
 cross-entropy) live with the tests.
 
+Gradient ownership: every gradient buffer belongs to exactly one tensor.
+:func:`_accumulate` copies a gradient it is handed unless its caller has
+just created it, so no two tensors share one, and the sweep hands each
+closure its node's own ``grad`` and drops it right after. A closure may
+therefore overwrite the gradient it is handed (``conv1d`` masks it in
+place), but must not keep it.
+
 Float64 is the oracle precision (all finite-difference checks run in it);
 float32 is supported for training throughput. An op inherits the dtype of
 its inputs.
@@ -99,7 +106,10 @@ class ComputeGraph:
     tensor that does not feed the traced output keeps a zero (None) grad.
     The sweep consumes the record: afterwards only leaves hold gradients, and
     every op output has let go of its gradient, closure and inputs, so a
-    swept graph cannot be backpropagated again.
+    swept graph cannot be backpropagated again. Each closure is handed its
+    node's own gradient buffer, which no other tensor shares and which is
+    dropped once the closure returns, so the closure may work on it in
+    place.
     """
 
     def __init__(self, nodes):
@@ -225,6 +235,11 @@ def scale(a: Tensor, s) -> Tensor:
 # a margin
 _GRAD_CHUNK_ROWS = 256
 
+# elements per block of a weight gradient's partial product: its one reused
+# scratch takes at most 8 MB in float32. At the paper width only conv1's
+# 2304x1024 kernel gradient splits, into two blocks of 1152 rows
+_GRAD_SCRATCH = 1 << 21
+
 
 def _weight_grad(a, g: np.ndarray) -> np.ndarray:
     """``a.T @ g``, summed over fixed chunks of rows in a fixed order.
@@ -235,14 +250,31 @@ def _weight_grad(a, g: np.ndarray) -> np.ndarray:
     ``_GRAD_CHUNK_ROWS`` rows keep gradients, and with them whole training
     runs, bitwise independent of the BLAS thread count.
 
+    Every chunk after the first adds its product through one scratch that
+    all chunks reuse, formed in blocks of the result's rows of at most
+    ``_GRAD_SCRATCH`` elements: each element is still the dot product over
+    the chunk's rows, added in chunk order, and no chunk allocates a
+    gradient-sized temporary.
+
     ``a`` is an array, or a function ``(lo, hi) -> a[lo:hi]`` for a caller
     that builds the rows chunk by chunk instead of holding all of them.
     """
     rows = a if callable(a) else (lambda lo, hi: a[lo:hi])
     n = _GRAD_CHUNK_ROWS
     out = rows(0, n).T @ g[:n]
+    if g.shape[0] <= n:
+        return out
+    n_out, n_cols = out.shape
+    n_blocks = -(-out.size // _GRAD_SCRATCH)
+    block = -(-n_out // n_blocks)
+    scratch = np.empty((block, n_cols), dtype=out.dtype)
     for lo in range(n, g.shape[0], n):
-        out += rows(lo, lo + n).T @ g[lo:lo + n]
+        chunk = rows(lo, lo + n)
+        for r in range(0, n_out, block):
+            part = scratch[:min(block, n_out - r)]
+            np.matmul(chunk[:, r:r + block].T, g[lo:lo + n], out=part)
+            out[r:r + block] += part
+        del chunk  # before the next chunk's rows are built
     return out
 
 
@@ -469,6 +501,24 @@ def _im2col(x: np.ndarray, k: int, cross, lo: int = 0, hi: int | None = None) ->
     return cols.reshape(hi - lo, k * c_in)
 
 
+def _conv_input_grad(g: np.ndarray, w2d: np.ndarray, k: int, cross) -> np.ndarray:
+    """The (T, C_in) input gradient of a "same" convolution with the
+    (K*C_in, C_out) kernel ``w2d``, given its output gradient ``g``: the
+    column gradient ``g @ w2d.T`` summed back onto the rows its taps read.
+    Taps at the ``cross`` (frame, tap) pairs read padding and send nothing."""
+    gcols = g @ w2d.T
+    if k == 1:
+        return gcols
+    t_len, c_in = g.shape[0], w2d.shape[0] // k
+    gcols = gcols.reshape(t_len, k, c_in)
+    gcols[cross] = 0.0  # padding, not a neighbouring segment's frames
+    gpad = np.zeros((t_len + k - 1, c_in), dtype=gcols.dtype)
+    for tap in range(k):
+        gpad[tap:tap + t_len] += gcols[:, tap, :]
+    pad_lo = (k - 1) // 2
+    return gpad[pad_lo:pad_lo + t_len]
+
+
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            lengths=None, *, relu: bool = False, p: float = 0.0,
            keep: np.ndarray | None = None) -> Tensor:
@@ -483,7 +533,9 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     The backward pass rebuilds the im2col matrix from ``x``, one
     weight-gradient chunk of rows at a time, rather than keeping it alive
     between the passes, and forms only the gradients that some leaf
-    receives.
+    receives. It forms the input gradient first and frees its (T, K*C_in)
+    column gradient before the kernel gradient is formed, so the two never
+    coexist.
 
     An optional epilogue then works on the product in place: ``relu=True``
     multiplies it by its ReLU mask ``out > 0``, and a dropout rate ``p``
@@ -517,12 +569,16 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         out_data *= keep * c
 
     def backward(g):
+        # g is this node's own gradient (see ComputeGraph): mask it in place
         if c is not None:
-            g = g * (keep * c)
-            if relu:
-                g *= out_data > 0
-        elif relu:
-            g = g * (out_data > 0)
+            g *= keep
+            g *= c
+        if relu:
+            g *= out_data > 0
+        # the input gradient first, so that its (T, K*C_in) column gradient
+        # is gone before the kernel gradient is formed
+        if _needs_grad(x):
+            _accumulate(x, _conv_input_grad(g, w2d, k, cross), fresh=True)
         if _needs_grad(kernel):
             # the columns are rebuilt one gradient chunk at a time: the same
             # rows in the same layout as slices of the whole matrix
@@ -530,19 +586,6 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             _accumulate(kernel, _weight_grad(cols, g).reshape(k, c_in, c_out), fresh=True)
         if bias is not None and _needs_grad(bias):
             _accumulate(bias, g.sum(axis=0), fresh=True)
-        if not _needs_grad(x):
-            return
-        gcols = g @ w2d.T
-        if k == 1:
-            _accumulate(x, gcols, fresh=True)
-            return
-        gcols = gcols.reshape(t_len, k, c_in)
-        gcols[cross] = 0.0  # padding, not a neighbouring segment's frames
-        gpad = np.zeros((t_len + k - 1, c_in), dtype=gcols.dtype)
-        for tap in range(k):
-            gpad[tap:tap + t_len] += gcols[:, tap, :]
-        pad_lo = (k - 1) // 2
-        _accumulate(x, gpad[pad_lo:pad_lo + t_len], fresh=True)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(out_data, parents, "conv1d", backward)

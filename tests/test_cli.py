@@ -4,6 +4,8 @@ exit-code mapping, provenance sidecars, and seed resolution."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -567,6 +569,16 @@ def test_seed_precedence_across_sources(tmp_path, monkeypatch):
     assert synthdata_seed(tmp_path, "d3", base + ["--seed", "5"]) == 5
     monkeypatch.setenv(SEED_ENV_VAR, "eleven")
     assert main(base + [str(tmp_path / "d4")]) == 4  # unparseable env seed
+
+
+def test_importing_the_cli_loads_no_scipy_fft_or_stats():
+    # only `mcd` needs them; they cost every other command its start-up time
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = ("import sys, emorank.cli; "
+              "print(sorted(m for m in ('scipy.fft', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_help_lists_config_defaults(capsys):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from emorank import extractor
 from emorank.binio import ChecksumError, FileFormatError
 from emorank.extractor import (ExtractorConfig, ModelParams, _expected_shapes,
-                               classify, draw_dropout_masks, forward_intensity, init_params,
-                               load_model, load_model_with_meta, params_digest,
-                               pool, positional_encoding, project_score,
-                               save_model)
+                               _position_table, classify, draw_dropout_masks,
+                               forward_intensity, init_params, load_model,
+                               load_model_with_meta, params_digest, pool,
+                               positional_encoding, project_score, save_model)
 from emorank.numerics import Tensor
 
 CFG = ExtractorConfig(input_dim=10, hidden_dim=8, n_fft_blocks=1, n_heads=2,
@@ -83,9 +84,33 @@ def test_positional_encoding_formula():
         rate = 1.0 / 10000.0 ** (2.0 * (ch // 2) / dim)
         ref = np.sin(pos * rate) if ch % 2 == 0 else np.cos(pos * rate)
         np.testing.assert_allclose(table[:, ch:ch + 1], ref, atol=1e-12)
-    # cache returns the identical array object
-    assert positional_encoding(5, dim) is table
+    # every call is a view of one cached table per (dim, dtype)
+    again, shorter = positional_encoding(5, dim), positional_encoding(3, dim)
+    assert np.shares_memory(again, table) and np.shares_memory(shorter, table)
     assert positional_encoding(5, dim, np.float32).dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [8, 32, 256])
+def test_positional_encoding_prefixes_are_bitwise_fresh_tables(monkeypatch, dim, dtype):
+    monkeypatch.setattr(extractor, "_POSENC_CACHE", {})
+    for t_len in np.random.default_rng(dim).permutation(np.arange(1, 401)):
+        table = positional_encoding(int(t_len), dim, dtype)
+        assert table.dtype == dtype and not table.flags.writeable
+        assert table.tobytes() == _position_table(int(t_len), dim, dtype).tobytes(), t_len
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    assert list(extractor._POSENC_CACHE) == [(dim, np.dtype(dtype).str)]
+
+
+def test_ragged_forward_keeps_one_position_table_per_width(monkeypatch):
+    monkeypatch.setattr(extractor, "_POSENC_CACHE", {})
+    params = make_params()
+    forward_intensity(params, [frames(t_len=5), frames(t_len=9), frames(t_len=7)], [1, 2, 1])
+    forward_intensity(params, frames(t_len=13), 2)
+    (key, table), = extractor._POSENC_CACHE.items()
+    assert key == (CFG.hidden_dim, np.dtype(np.float32).str)
+    assert table.shape[0] >= 13 and not table.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,19 @@ def test_pitch_on_pure_tone():
         np.testing.assert_allclose(voiced, np.log(freq), atol=0.02)
 
 
+def test_pitch_outside_the_search_range_is_unvoiced():
+    # the argmax sits on the lag range's edge, on a slope toward a period
+    # outside it; 50, 55 and 410 Hz read 405 Hz and 58 Hz read 59.8 Hz when
+    # such an edge counts as a peak
+    for freq in (50.0, 55.0, 58.0, 410.0):
+        np.testing.assert_array_equal(extract_pitch(tone(freq, 0.5), CFG), 0.0)
+    for freq in (62.0, 395.0):  # just inside the 60-400 Hz range
+        pitch = extract_pitch(tone(freq, 0.5), CFG)
+        voiced = pitch[pitch > 0]
+        assert len(voiced) > len(pitch) * 0.9
+        np.testing.assert_allclose(voiced, np.log(freq), atol=0.02)
+
+
 def test_pitch_silence_unvoiced():
     pitch = extract_pitch(np.zeros(16000), CFG)
     np.testing.assert_array_equal(pitch, 0.0)
@@ -133,6 +146,8 @@ def _pitch_per_frame_loop(audio, cfg, autocorrelation=_autocorrelation):
         if r0[t] <= LOG_FLOOR:
             continue
         lag = best[t]
+        if acf[t, lag] < acf[t, lag - 1] or acf[t, lag] < acf[t, lag + 1]:
+            continue  # not a peak: the range's edge on a slope
         if acf[t, lag] / r0[t] < PITCH_VOICING_THRESHOLD:
             continue
         y0, y1, y2 = acf[t, lag - 1], acf[t, lag], acf[t, lag + 1]

@@ -346,6 +346,83 @@ def test_conv1d_backward_builds_its_columns_one_chunk_at_a_time(monkeypatch):
     assert sum(built) == t_len and max(built) <= nm._GRAD_CHUNK_ROWS, built
 
 
+def _closure_high_water(out, seed):
+    """Run the backward from ``out`` and return the most traced bytes that
+    ``out``'s own closure held beyond those it started with, its incoming
+    gradient among them."""
+    closure, marks = out._backward, []
+
+    def measured(g):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        closure(g)
+        marks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    out._backward = measured
+    tracemalloc.start()
+    try:
+        out.backward(seed)
+    finally:
+        tracemalloc.stop()
+    return marks[0]
+
+
+def test_conv1d_backward_holds_its_column_and_kernel_gradients_apart():
+    # a paper-width first conv: 256 -> 1,024 channels, 9 taps, ReLU and dropout
+    rng = np.random.default_rng(14)
+    lengths = [400, 350, 250]
+    t_len, c_in, k, c_out, p = sum(lengths), 256, 9, 1024, 0.1
+    keep = nm.dropout_masks([(t_len, c_out)], p, rng)[0]
+    x_data = rng.normal(size=(t_len, c_in)).astype(np.float32)
+    w_data = rng.normal(0.0, 0.02, size=(k, c_in, c_out)).astype(np.float32)
+    seed = rng.normal(size=(t_len, c_out)).astype(np.float32)
+    gcols_nbytes = t_len * k * c_in * 4
+
+    x, kernel, bias = (Tensor(a, requires_grad=True)
+                       for a in (x_data, w_data, np.zeros(c_out, np.float32)))
+    out = nm.conv1d(x, kernel, bias, lengths, relu=True, p=p, keep=keep)
+    high = _closure_high_water(out, seed)
+    assert gcols_nbytes <= high < gcols_nbytes + w_data.nbytes, (high, gcols_nbytes)
+
+    # with only the bias to feed, the masks apply to the incoming gradient in
+    # place: no second (T, C_out) gradient is formed beside it
+    bias = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
+    out = nm.conv1d(Tensor(x_data), Tensor(w_data), bias, lengths, relu=True, p=p, keep=keep)
+    high = _closure_high_water(out, seed)
+    assert high < seed.nbytes, (high, seed.nbytes)
+
+
+_WEIGHT_GRAD_SCRIPT = """
+import hashlib, sys, numpy as np
+from emorank import numerics as nm
+t_len, n_in, n_out = map(int, sys.argv[1:4])
+rng = np.random.default_rng(t_len)
+a = rng.normal(size=(t_len, n_in)).astype(np.float32)
+g = rng.normal(size=(t_len, n_out)).astype(np.float32)
+n = nm._GRAD_CHUNK_ROWS
+plain = a[:n].T @ g[:n]
+for lo in range(n, t_len, n):
+    plain += a[lo:lo + n].T @ g[lo:lo + n]
+for rows in (a, lambda lo, hi: a[lo:hi]):
+    assert nm._weight_grad(rows, g).tobytes() == plain.tobytes()
+print(hashlib.sha256(plain.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("shape", [("1516", "2304", "1024"),  # paper-width conv1: 2 blocks
+                                   ("600", "288", "64")])  # gate-width conv1: 1 block
+def test_weight_grad_blocks_are_bitwise_the_plain_chunk_sum(shape):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _WEIGHT_GRAD_SCRIPT, *shape], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, shape
+
+
 # ---------------------------------------------------------------------------
 # the backward sweep releases the tape and forms only the gradients it needs
 
