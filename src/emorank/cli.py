@@ -247,7 +247,8 @@ def cmd_codebook(args) -> int:
     cfg = RunConfig.load(args.config)
     cb_cfg = cfg.doc["codebook"]
     params, _ = load_model(args.model)
-    corpus = load_corpus(args.features_dir)
+    # only non-neutral utterances are scored, so neutral ones are optional
+    corpus = load_corpus(args.features_dir, require_roles=False)
     records = score_corpus(params, corpus)
     prov = codebook_provenance(params, corpus,
                                config_hash=cfg.config_hash(),

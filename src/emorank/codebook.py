@@ -76,8 +76,8 @@ def score_corpus(params: ModelParams, corpus: Corpus, *,
 
     Utterances run in packed chunks (see :func:`forward_intensity`) on a
     tape-free view of the parameters. The projector runs on each pooled row
-    alone, as for a single utterance, so every record is bitwise the one a
-    forward over that utterance by itself gives.
+    alone, a batch of one row as for a single utterance, so every record is
+    bitwise the one a forward over that utterance by itself gives.
     """
     const = params.constants()
     records = []
@@ -87,12 +87,12 @@ def score_corpus(params: ModelParams, corpus: Corpus, *,
                                   [u.emotion_label for u in chunk])
         pooled = pool(i_seq, lengths)
         ends = np.cumsum(lengths)
-        for u, h, end in zip(chunk, pooled.data, ends):
+        for r, (u, end) in enumerate(zip(chunk, ends)):
             records.append(ScoreRecord(
                 utterance_id=u.source_id,
                 emotion=u.emotion_label.strip().lower(),
-                score=project_score(const, h).item(),
-                pooled=h.astype(np.float64),
+                score=project_score(const, pooled.data[r:r + 1]).item(),
+                pooled=pooled.data[r].astype(np.float64),
                 n_frames=u.n_frames,
                 i_seq=i_seq.data[end - u.n_frames:end].astype(np.float64)
                 if keep_sequences else None,
@@ -378,7 +378,10 @@ def read_alignment(path) -> PhonemeAlignment:
         if not (math.isfinite(start) and math.isfinite(end)):
             raise FileFormatError(f"line {n}: start and end must be finite")
         intervals.append(PhonemeInterval(parts[0], start, end))
-    return PhonemeAlignment(intervals)
+    try:
+        return PhonemeAlignment(intervals)
+    except ValueError as e:  # no intervals, or a negative, empty or overlapping one
+        raise FileFormatError(str(e)) from e
 
 
 def write_alignment(align: PhonemeAlignment, path):

@@ -4,9 +4,13 @@ Input frames pass through an input projection, sinusoidal positional
 encoding, and a stack of feed-forward-transformer blocks (multi-head
 self-attention plus a two-layer 1-D convolutional feed-forward, each with a
 residual connection and layer norm). An emotion embedding row is then added
-to every frame, yielding the per-frame intensity representation. Three small
-heads read the time-pooled vector: a linear classifier over emotion classes,
+to every frame, yielding the per-frame intensity representation. Two small
+heads read the time-pooled vectors: a linear classifier over emotion classes,
 and a two-layer projector producing the scalar rank score.
+
+Every stage takes one shape: a packed (sum T, C) batch of utterances with
+their frame counts as segment lengths, and (B, hidden) pooled rows for the
+heads. A single utterance is a batch of one segment.
 
 Models persist in the EMOM binary format documented at save_model/load_model.
 """
@@ -250,15 +254,15 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
                       train: bool = False, dropout_masks: list | None = None) -> Tensor:
     """Per-frame intensity representation: FFT blocks plus the class embedding.
 
-    ``x`` is a raw (T, input_dim) feature matrix, and ``emotion_class`` a
-    class index or label; passing the neutral class is allowed for
-    diagnostics only. ``x`` may also be a list of such matrices, with one
-    class per matrix: they run as one packed batch, joined along time into a
-    (sum T, hidden) result with no padding. Every segment of a packed batch
-    is encoded as if it ran alone: positions restart at 0, convolutions pad
-    each segment with its own zeros, attention stays inside the segment, and
-    the segment's class embedding is added to its frames. Pool the result
-    with the segment lengths.
+    ``x`` is a list of raw (T, input_dim) feature matrices and
+    ``emotion_class`` one class index or label per matrix; passing the
+    neutral class is allowed for diagnostics only. The matrices run as one
+    packed batch, joined along time into a (sum T, hidden) result with no
+    padding. Every segment is encoded as if it ran alone: positions restart
+    at 0, convolutions pad each segment with its own zeros, attention stays
+    inside the segment, and the segment's class embedding is added to its
+    frames. Pool the result with the segment lengths. A bare matrix and one
+    class are a batch of one.
 
     Normalization statistics stored on the model are applied first. Eval
     mode (default) is deterministic; ``train=True`` enables dropout with the
@@ -266,17 +270,17 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
     list per segment), each site's masks joined along time.
     """
     cfg = params.config
-    packed = isinstance(x, (list, tuple))
-    segments = [s.data if isinstance(s, Tensor) else np.asarray(s)
-                for s in (x if packed else [x])]
-    classes = [params.class_index(c) for c in (emotion_class if packed else [emotion_class])]
+    if not isinstance(x, (list, tuple)):
+        x, emotion_class = [x], [emotion_class]
+    segments = [s.data if isinstance(s, Tensor) else np.asarray(s) for s in x]
+    classes = [params.class_index(c) for c in emotion_class]
     if len(classes) != len(segments):
         raise ValueError(f"{len(classes)} emotion classes for {len(segments)} segments")
     for seg in segments:
         if seg.ndim != 2 or seg.shape[1] != cfg.input_dim or seg.shape[0] < 1:
             raise ValueError(f"expected (T, {cfg.input_dim}) input, got {seg.shape}")
     lengths = [seg.shape[0] for seg in segments]
-    data = np.concatenate(segments) if packed else segments[0]
+    data = np.concatenate(segments)
     if params.feat_mean is not None:
         data = (data - params.feat_mean) / params.feat_std
 
@@ -287,12 +291,12 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
         if [len(m) for m in dropout_masks] != [3 * cfg.n_fft_blocks] * len(segments):
             raise ValueError(f"need {3 * cfg.n_fft_blocks} dropout masks for each of "
                              f"{len(segments)} segments")
-        keep = (np.concatenate(site) if packed else site[0] for site in zip(*dropout_masks))
+        keep = (np.concatenate(site) for site in zip(*dropout_masks))
 
     h = Tensor(np.asarray(data, dtype=params.dtype))
     h = nm.matmul(h, params["in_proj.w"], params["in_proj.b"])
     pos = [positional_encoding(t, cfg.hidden_dim, params.dtype) for t in lengths]
-    h = nm.add(h, Tensor(np.concatenate(pos) if packed else pos[0]))
+    h = nm.add(h, Tensor(np.concatenate(pos)))
     for i in range(cfg.n_fft_blocks):
         h = _fft_block(params, i, h, lengths, keep)
     # each frame's class embedding row, as a one-hot matmul so the table's
@@ -305,21 +309,20 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
 
 
 def pool(i_seq: Tensor, lengths=None) -> Tensor:
-    """Average the intensity sequence over time into a single vector, or,
-    given the segment lengths of a packed sequence, into one row per
-    segment (B, hidden)."""
-    return nm.mean_over_time(i_seq, lengths)
+    """Average each segment of a packed intensity sequence over time: one
+    (B, hidden) row per segment. Without ``lengths`` the sequence is one
+    segment, pooled into a (1, hidden) row."""
+    return nm.mean_over_time(i_seq, [i_seq.shape[0]] if lengths is None else lengths)
 
 
 def classify(params: ModelParams, h: Tensor) -> Tensor:
-    """Affine map from the pooled vector (or rows of them) to emotion-class
-    logits."""
+    """Affine map from (B, hidden) pooled rows to (B, classes) logits."""
     return nm.matmul(nm.as_tensor(h), params["cls.w"], params["cls.b"])
 
 
 def project_score(params: ModelParams, h: Tensor) -> Tensor:
-    """Two-layer projector (tanh between) mapping the pooled vector to the
-    scalar rank score; (B, hidden) pooled rows give (B,) scores."""
+    """Two-layer projector (tanh between) mapping (B, hidden) pooled rows to
+    (B,) scalar rank scores."""
     hidden = nm.tanh(nm.matmul(nm.as_tensor(h), params["proj.w1"], params["proj.b1"]))
     return nm.pick(nm.matmul(hidden, params["proj.w2"], params["proj.b2"]), 0)
 

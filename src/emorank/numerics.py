@@ -20,6 +20,11 @@ closure its node's own ``grad`` and drops it right after. A closure may
 therefore overwrite the gradient it is handed (``conv1d`` masks it in
 place), but must not keep it.
 
+Shapes: an op over activations takes a 2-D (rows, C) batch, plus the row
+counts of its segments as ``lengths`` if it reads segments. One sequence is
+a batch of one segment, one vector a batch of one row. Only the elementwise
+ops and the loss terms are shape-generic.
+
 Float64 is the oracle precision (all finite-difference checks run in it);
 float32 is supported for training throughput. An op inherits the dtype of
 its inputs.
@@ -73,7 +78,8 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a tensor of one element, of any shape."""
+        return self.data.item()
 
     def zero_grad(self):
         self.grad = None
@@ -279,7 +285,7 @@ def _weight_grad(a, g: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Matrix product for 2-D operands; 1-D ``a`` acts as a row vector.
+    """Matrix product of a (rows, C) batch and a (C, C_out) matrix.
 
     ``bias``, a vector with one entry per column of ``b``, is added in place
     to every row of the product: an affine layer is one op, and the graph
@@ -288,9 +294,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     (raw features, a one-hot matrix) costs no product.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 1-D/2-D x 2-D, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul expects 2-D x 2-D, got {a.shape} x {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     out_data = a.data @ b.data
     if bias is not None:
@@ -299,14 +305,12 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         out_data += bias.data
 
     def backward(g):
-        row = a.data.ndim == 1
         if _needs_grad(a):
-            _accumulate(a, b.data @ g if row else g @ b.data.T, fresh=True)
+            _accumulate(a, g @ b.data.T, fresh=True)
         if _needs_grad(b):
-            _accumulate(b, np.outer(a.data, g) if row else _weight_grad(a.data, g),
-                        fresh=True)
+            _accumulate(b, _weight_grad(a.data, g), fresh=True)
         if bias is not None and _needs_grad(bias):
-            _accumulate(bias, g if row else g.sum(axis=0), fresh=not row)
+            _accumulate(bias, g.sum(axis=0), fresh=True)
 
     parents = (a, b) if bias is None else (a, b, bias)
     return _make(out_data, parents, "matmul", backward)
@@ -413,10 +417,11 @@ def dropout(a: Tensor, p: float, *, keep: np.ndarray) -> Tensor:
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply per-channel gain and bias."""
-    if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
-        raise ValueError(f"layer_norm gain/bias must match last dim of {a.shape}")
-    d = a.shape[-1]
+    """Normalize each row of a (rows, C) batch, then apply per-channel gain
+    and bias."""
+    if a.data.ndim != 2 or gain.shape != a.shape[1:] or bias.shape != a.shape[1:]:
+        raise ValueError(f"layer_norm expects a (rows, C) batch and (C,) gain and bias, "
+                         f"got {a.shape}, {gain.shape}, {bias.shape}")
     mean = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -424,9 +429,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = centered * inv_std
 
     def backward(g):
-        _accumulate(gain, (g * xhat).sum(axis=0) if a.data.ndim == 2 else g * xhat,
-                    fresh=True)
-        _accumulate(bias, g.sum(axis=0) if a.data.ndim == 2 else g, fresh=a.data.ndim == 2)
+        _accumulate(gain, (g * xhat).sum(axis=0), fresh=True)
+        _accumulate(bias, g.sum(axis=0), fresh=True)
         gx = g * gain.data
         term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         _accumulate(a, term * inv_std, fresh=True)
@@ -437,13 +441,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def _runs(lengths, t_len: int) -> list[tuple[int, int, int, int]]:
     """Split the rows of a packed (T, C) matrix into its segments.
 
-    ``lengths`` lists the consecutive segments' row counts (``None`` is one
-    segment of all T rows). Neighbouring segments of equal length are grouped
-    into one run, so per-segment work can be batched: each run is
-    ``(first row, end row, segment count, segment length)``.
+    ``lengths`` lists the consecutive segments' row counts. Neighbouring
+    segments of equal length are grouped into one run, so per-segment work
+    can be batched: each run is ``(first row, end row, segment count,
+    segment length)``.
     """
-    if lengths is None:
-        return [(0, t_len, 1, t_len)]
     runs, lo = [], 0
     for seg in lengths:
         seg = int(seg)
@@ -467,8 +469,6 @@ def _cross_taps(lengths, t_len: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Frame t's tap j reads row t + j - (k-1)//2. Where that row lies outside
     the segment, a segment convolved alone would read its zero padding.
     """
-    if lengths is None:
-        lengths = [t_len]
     lengths = np.asarray(lengths)
     ends = np.cumsum(lengths)
     lo = np.repeat(ends - lengths, lengths)[:, None]
@@ -519,15 +519,16 @@ def _conv_input_grad(g: np.ndarray, w2d: np.ndarray, k: int, cross) -> np.ndarra
     return gpad[pad_lo:pad_lo + t_len]
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-           lengths=None, *, relu: bool = False, p: float = 0.0,
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
+           lengths, *, relu: bool = False, p: float = 0.0,
            keep: np.ndarray | None = None) -> Tensor:
     """1-D convolution over time with "same" zero padding.
 
     ``x`` is (T, C_in), ``kernel`` is (K, C_in, C_out); output is (T, C_out).
-    ``lengths`` splits the rows of ``x`` into consecutive segments that are
-    convolved independently: each segment is zero padded at both ends, so no
-    output frame reads a neighbouring segment. Implemented as one im2col
+    ``lengths`` splits the rows of ``x`` into consecutive segments (``[T]``
+    for one sequence) that are convolved independently: each segment is
+    zero padded at both ends, so no output frame reads a neighbouring
+    segment. Implemented as one im2col
     matmul over all segments so BLAS does the heavy lifting, and the kernel
     gradient is one matmul too. ``bias`` is added to the product in place.
     The backward pass rebuilds the im2col matrix from ``x``, one
@@ -609,14 +610,15 @@ def _segment_chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths=None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths) -> Tensor:
     """Multi-head scaled dot-product self-attention as one op.
 
     ``q``, ``k`` and ``v`` are (T, H*d); head h owns columns [h*d, (h+1)*d).
     Every head computes softmax(q_h k_h^T / sqrt(d)) v_h, and the heads'
     outputs sit side by side in a (T, H*d) result. ``lengths`` splits the
-    rows into consecutive segments; a frame attends only to the frames of
-    its own segment, so each segment sees its own T_i x T_i scores.
+    rows into consecutive segments (``[T]`` for one sequence); a frame
+    attends only to the frames of its own segment, so each segment sees its
+    own T_i x T_i scores.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim != 2 or not q.shape == k.shape == v.shape:
@@ -687,18 +689,12 @@ def take_rows(a: Tensor, index) -> Tensor:
 # reductions
 
 
-def mean_over_time(x: Tensor, lengths=None) -> Tensor:
-    """Arithmetic mean over axis 0: (T, C) -> (C,). With ``lengths`` the rows
-    are consecutive segments and each is averaged on its own: (T, C) -> (B, C)."""
+def mean_over_time(x: Tensor, lengths) -> Tensor:
+    """Per-segment mean over time: the rows of ``x`` are consecutive segments
+    of ``lengths`` rows, and each is averaged on its own: (T, C) -> (B, C)."""
     if x.data.ndim != 2:
         raise ValueError(f"mean_over_time expects a (T, C) matrix, got {x.shape}")
     t_len, c = x.shape
-    if lengths is None:
-        def backward(g):
-            _accumulate(x, np.broadcast_to(g / t_len, x.shape))
-
-        return _make(x.data.mean(axis=0), (x,), "mean_over_time", backward)
-
     runs = _runs(lengths, t_len)
     out_data = np.empty((len(lengths), c), dtype=x.data.dtype)
     first = 0  # first output row of the current run
@@ -727,34 +723,22 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def pick(a: Tensor, index) -> Tensor:
-    """Element ``index`` of a 1-D tensor (a scalar), differentiable. For a
-    2-D tensor, one element per row: column ``index``, or ``index[r]`` for
-    row r."""
-    if a.data.ndim == 2:
-        rows = np.arange(a.shape[0])
-        cols = np.broadcast_to(np.asarray(index), rows.shape)
-        if not np.issubdtype(cols.dtype, np.integer) or np.any(cols < 0) \
-                or np.any(cols >= a.shape[1]):
-            raise ValueError(f"pick columns {index} out of range for {a.shape}")
-
-        def backward(g):
-            full = np.zeros_like(a.data)
-            full[rows, cols] = g
-            _accumulate(a, full, fresh=True)
-
-        return _make(a.data[rows, cols], (a,), "pick", backward)
-    if a.data.ndim != 1:
-        raise ValueError(f"pick expects a 1-D or 2-D tensor, got {a.shape}")
-    index = int(index)
-    if not 0 <= index < a.shape[0]:
-        raise ValueError(f"pick index {index} out of range for {a.shape}")
+    """One element per row of a (rows, C) batch, differentiable: column
+    ``index``, or ``index[r]`` for row r."""
+    if a.data.ndim != 2:
+        raise ValueError(f"pick expects a (rows, C) batch, got {a.shape}")
+    rows = np.arange(a.shape[0])
+    cols = np.broadcast_to(np.asarray(index), rows.shape)
+    if not np.issubdtype(cols.dtype, np.integer) or np.any(cols < 0) \
+            or np.any(cols >= a.shape[1]):
+        raise ValueError(f"pick columns {index} out of range for {a.shape}")
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[index] = g
+        full[rows, cols] = g
         _accumulate(a, full, fresh=True)
 
-    return _make(a.data[index], (a,), "pick", backward)
+    return _make(a.data[rows, cols], (a,), "pick", backward)
 
 
 # ---------------------------------------------------------------------------

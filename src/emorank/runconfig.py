@@ -15,9 +15,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 
+from .codebook import build_codebook
 from .features import FeatureConfig
 from .extractor import ExtractorConfig
 from .losses import LossWeights
@@ -49,19 +51,23 @@ def _field_defaults(cls, skip: tuple = ()) -> dict:
     return section
 
 
+def _keyword_defaults(fn, skip: tuple = ()) -> dict:
+    """A config section holding the keyword defaults of a function, in
+    signature order."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty and name not in skip}
+
+
 # the schema: section -> key -> default; None means "no value, optional".
-# Sections with a dataclass take its defaults; the class count comes from the
-# corpus and the seed is resolved on its own, so neither is a config key.
+# Sections take the defaults of their dataclass or function; the class count
+# comes from the corpus, the seed is resolved on its own and provenance is
+# written by the command, so none of them is a config key.
 DEFAULTS: dict = {
     "seed": None,
     "features": _field_defaults(FeatureConfig),
     "extractor": _field_defaults(ExtractorConfig, skip=("n_emotion_classes",)),
     "train": _field_defaults(TrainConfig, skip=("seed",)),
-    "codebook": {
-        "n_bins": 3,
-        "policy": "quantile",
-        "level_source": "pooled",
-    },
+    "codebook": _keyword_defaults(build_codebook, skip=("provenance",)),
     "synth": _field_defaults(SynthSpec),
     "gradcheck": {
         "time_frames": 6,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -268,8 +268,8 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
     else:
         if params is None:
             classes = corpus.class_labels
-            extractor_cfg.n_emotion_classes = len(classes)
-            params = init_params(extractor_cfg, classes, _init_rng(train_cfg.seed))
+            cfg = replace(extractor_cfg, n_emotion_classes=len(classes))
+            params = init_params(cfg, classes, _init_rng(train_cfg.seed))
             mean, std = compute_feature_stats(corpus)
             params.feat_mean = np.asarray(mean, dtype=params.dtype)
             params.feat_std = np.asarray(std, dtype=params.dtype)

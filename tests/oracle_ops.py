@@ -4,11 +4,11 @@ The library keeps exactly the ops the pipeline calls. These are the unfused
 pieces the fused ops are checked against (per-head attention from slices, a
 transpose, softmax and a concat; a separate ReLU after ``conv1d``; an affine
 layer's bias as a separate row-broadcast add; cross-entropy as a
-log-softmax and pick chain, and the rank term as a sigmoid, clip, log chain) and
-the elementwise product and full sum that the finite-difference tests read
-gradients through. They record their nodes with ``nm._make`` and send
-gradients through ``nm._accumulate``, so they join a library graph like any
-library op.
+log-softmax and pick chain, or take_rows for 1-D logits, and the rank term as
+a sigmoid, clip, log chain) and the elementwise product and full sum that the
+finite-difference tests read gradients through. They record their nodes
+with ``nm._make`` and send gradients through ``nm._accumulate``, so they join
+a library graph like any library op.
 """
 
 import numpy as np
@@ -148,7 +148,7 @@ def cross_entropy(logits, target):
     one class, one value per row for (B, n) logits and B classes."""
     logits = nm.as_tensor(logits)
     if logits.data.ndim == 1:
-        target = int(target)
+        return nm.neg(nm.take_rows(log_softmax(logits), int(target)))
     return nm.neg(nm.pick(log_softmax(logits), target))
 
 

@@ -4,6 +4,7 @@ exit-code mapping, provenance sidecars, and seed resolution."""
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -181,6 +182,27 @@ def test_codebook_artifact(pipeline, codebook_path):
     assert cb.provenance["config_hash"] == RunConfig(CFG_DOC).config_hash()
 
 
+def test_codebook_needs_no_neutral_files(pipeline, codebook_path, tmp_path):
+    # only non-neutral utterances are scored, so the neutral ones change nothing
+    emotional = tmp_path / "emotional"
+    emotional.mkdir()
+    for name in sorted(os.listdir(pipeline["corpus"])):
+        path = os.path.join(pipeline["corpus"], name)
+        if name.endswith(".emof") and read_features(path).emotion_label != "neutral":
+            shutil.copy(path, emotional / name)
+    out = tmp_path / "cb.json"
+    assert main(["codebook", "--config", pipeline["cfg"], pipeline["model"],
+                 str(emotional), str(out)]) == 0
+    got, want = load_codebook(out), load_codebook(codebook_path)
+    assert sorted(got.emotions) == sorted(want.emotions)
+    for emotion, entry in want.emotions.items():
+        assert got.emotions[emotion].boundaries == entry.boundaries
+        assert got.emotions[emotion].mean_scores == entry.mean_scores
+        assert list(got.emotions[emotion].levels) == list(entry.levels)
+        for level, vector in entry.levels.items():
+            np.testing.assert_array_equal(got.emotions[emotion].levels[level], vector)
+
+
 def test_condition_output(pipeline, codebook_path, tmp_path):
     cb = load_codebook(codebook_path)
     emo_a, emo_b = sorted(cb.emotions)
@@ -217,6 +239,24 @@ def test_condition_with_alignment(pipeline, codebook_path, tmp_path):
     short.write_text("#phonemes v1\nsil\t0.0\t0.3\n")
     assert main(["condition", codebook_path, str(labels), str(out),
                  "--alignment", str(short)]) == 5
+
+
+@pytest.mark.parametrize("text", [
+    "#phonemes v1\n",
+    "#phonemes v1\nAH\t0.3\t0.1\n",
+    "#phonemes v1\nAH\t0.0\t0.3\nB\t0.2\t0.4\n",
+], ids=["header_only", "ends_before_it_starts", "overlapping"])
+def test_malformed_alignment_exits_4_and_writes_nothing(codebook_path, tmp_path, capsys,
+                                                        text):
+    emotion = sorted(load_codebook(codebook_path).emotions)[0]
+    labels = tmp_path / "say.labels"
+    labels.write_text(f"#levels v1\n{emotion}\tMin\n{emotion}\tMax\n")
+    align = tmp_path / "say.align"
+    align.write_text(text)
+    assert main(["condition", codebook_path, str(labels), str(tmp_path / "say.emof"),
+                 "--alignment", str(align)]) == 4
+    assert "error:" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["say.align", "say.labels"]
 
 
 def test_condition_unknown_emotion(codebook_path, tmp_path):

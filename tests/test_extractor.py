@@ -122,9 +122,9 @@ def test_forward_shapes():
     i_seq = forward_intensity(params, frames(), "angry")
     assert i_seq.shape == (7, 8)
     h = pool(i_seq)
-    assert h.shape == (8,)
-    assert classify(params, h).shape == (3,)
-    assert project_score(params, h).shape == ()
+    assert h.shape == (1, 8)
+    assert classify(params, h).shape == (1, 3)
+    assert project_score(params, h).shape == (1,)
 
 
 def test_eval_forward_deterministic_bitwise():
@@ -212,14 +212,14 @@ def test_float64_mode():
 
 def test_classify_and_project_formulas():
     params = make_params()
-    h = Tensor(np.random.default_rng(2).normal(size=8).astype(np.float32))
+    h = Tensor(np.random.default_rng(2).normal(size=(1, 8)).astype(np.float32))
     logits = classify(params, h).data
     np.testing.assert_allclose(
         logits, h.data @ params["cls.w"].data + params["cls.b"].data, atol=1e-6)
     r = project_score(params, h).item()
     hidden = np.tanh(h.data @ params["proj.w1"].data + params["proj.b1"].data)
     expected = hidden @ params["proj.w2"].data + params["proj.b2"].data
-    assert r == pytest.approx(float(expected[0]), abs=1e-6)
+    assert r == pytest.approx(expected.item(), abs=1e-6)
 
 
 def test_score_gradient_reaches_input_projection():

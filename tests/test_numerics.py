@@ -60,6 +60,17 @@ def test_matmul_shape_errors():
         nm.matmul(Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 2))))
 
 
+def test_batch_ops_reject_a_single_vector():
+    # one vector is a batch of one row: (1, C), never (C,)
+    v = Tensor(np.ones(3))
+    with pytest.raises(ValueError):
+        nm.matmul(v, Tensor(np.ones((3, 2))))
+    with pytest.raises(ValueError):
+        nm.layer_norm(v, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+    with pytest.raises(ValueError):
+        nm.pick(v, 1)
+
+
 def test_softmax_uniform():
     out = ops.softmax(Tensor([3.0, 3.0, 3.0, 3.0]))
     np.testing.assert_allclose(out.data, [0.25, 0.25, 0.25, 0.25], atol=1e-12)
@@ -88,8 +99,8 @@ def test_sigmoid_extreme_inputs_stay_finite():
 
 def test_mean_over_time_constant():
     c = np.array([1.5, -2.0, 0.25])
-    out = nm.mean_over_time(Tensor(np.tile(c, (7, 1))))
-    np.testing.assert_allclose(out.data, c, atol=1e-12)
+    out = nm.mean_over_time(Tensor(np.tile(c, (7, 1))), [7])
+    np.testing.assert_allclose(out.data[0], c, atol=1e-12)
 
 
 def test_layer_norm_forward():
@@ -104,7 +115,7 @@ def test_conv1d_preserves_length_and_matches_direct():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(9, 3))
     kernel = rng.normal(size=(5, 3, 4))
-    out = nm.conv1d(Tensor(x), Tensor(kernel)).data
+    out = nm.conv1d(Tensor(x), Tensor(kernel), None, [9]).data
     assert out.shape == (9, 4)
     pad_lo = 2
     padded = np.zeros((13, 3))
@@ -120,7 +131,7 @@ def test_conv1d_kernel_one_is_pointwise_linear():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 4))
     kernel = rng.normal(size=(1, 4, 2))
-    out = nm.conv1d(Tensor(x), Tensor(kernel)).data
+    out = nm.conv1d(Tensor(x), Tensor(kernel), None, [6]).data
     np.testing.assert_allclose(out, x @ kernel[0], atol=1e-12)
 
 
@@ -205,7 +216,7 @@ def test_matmul_grad(seed):
              [a, b], tol=1e-5)
 
 
-@pytest.mark.parametrize("a_shape", [(4, 6), (6,)])
+@pytest.mark.parametrize("a_shape", [(4, 6), (1, 6)])
 def test_matmul_bias_grad(a_shape):
     rng = np.random.default_rng(len(a_shape))
     a = Tensor(rng.normal(size=a_shape), requires_grad=True)
@@ -219,7 +230,7 @@ def test_matmul_bias_grad(a_shape):
 
 def test_gradients_nobody_receives_are_not_formed(monkeypatch):
     rng = np.random.default_rng(31)
-    const2d, const1d = Tensor(rng.normal(size=(7, 4))), Tensor(rng.normal(size=4))
+    const2d, const_row = Tensor(rng.normal(size=(7, 4))), Tensor(rng.normal(size=(1, 4)))
     w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     bias = Tensor(rng.normal(size=3), requires_grad=True)
     kernel = Tensor(rng.normal(size=(3, 4, 3)), requires_grad=True)
@@ -227,7 +238,7 @@ def test_gradients_nobody_receives_are_not_formed(monkeypatch):
     x = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
     cases = [
         (lambda: nm.matmul(const2d, w, bias), [const2d], [w, bias]),
-        (lambda: nm.matmul(const1d, w, bias), [const1d], [w, bias]),
+        (lambda: nm.matmul(const_row, w, bias), [const_row], [w, bias]),
         (lambda: nm.matmul(x, Tensor(w.data.copy())), [], [x]),
         (lambda: nm.conv1d(const2d, kernel, bias, [3, 4]), [const2d], [kernel, bias]),
         (lambda: nm.conv1d(x, const_kernel, None, [3, 4]), [const_kernel], [x]),
@@ -343,7 +354,7 @@ def test_conv1d_grads(seed):
     x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     kernel = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
     bias = Tensor(rng.normal(size=4), requires_grad=True)
-    fd_check(lambda: weighted_sum(nm.conv1d(x, kernel, bias),
+    fd_check(lambda: weighted_sum(nm.conv1d(x, kernel, bias, [7]),
                                   seed + 70),
              [x, kernel, bias])
 
@@ -368,7 +379,7 @@ def test_segmented_conv1d_equals_separate_convolutions():
     packed = nm.conv1d(Tensor(x), kernel, None, lengths).data
     lo = 0
     for n in lengths:
-        alone = nm.conv1d(Tensor(x[lo:lo + n]), kernel).data
+        alone = nm.conv1d(Tensor(x[lo:lo + n]), kernel, None, [n]).data
         np.testing.assert_allclose(packed[lo:lo + n], alone, rtol=0, atol=1e-12)
         lo += n
     with pytest.raises(ValueError):
@@ -386,14 +397,14 @@ def test_attention_grads(seed):
 def test_attention_matches_per_head_softmax():
     rng = np.random.default_rng(6)
     q, k, v = (rng.normal(size=(5, 6)) for _ in range(3))
-    out = nm.attention(Tensor(q), Tensor(k), Tensor(v), 3).data
+    out = nm.attention(Tensor(q), Tensor(k), Tensor(v), 3, [5]).data
     for h in range(3):
         cols = slice(2 * h, 2 * h + 2)
         scores = q[:, cols] @ k[:, cols].T / np.sqrt(2)
         p = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(out[:, cols], p @ v[:, cols], rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
-        nm.attention(Tensor(q), Tensor(k), Tensor(v), 4)
+        nm.attention(Tensor(q), Tensor(k), Tensor(v), 4, [5])
 
 
 def test_segment_mean_grads_and_values():
@@ -443,7 +454,7 @@ def test_slice_concat_transpose_pick_grads():
     fd_check(lambda: weighted_sum(
         ops.concat_cols([ops.slice_cols(a, 0, 2), ops.slice_cols(a, 2, 6)]), w), [a])
     v = Tensor(rng.normal(size=5), requires_grad=True)
-    fd_check(lambda: nm.scale(nm.pick(v, 3), 2.5), [v])
+    fd_check(lambda: nm.scale(nm.take_rows(v, 3), 2.5), [v])
 
 
 def test_take_rows_grad_scatters():
@@ -462,7 +473,7 @@ def test_take_rows_grad_scatters():
 def test_mean_over_time_grad():
     rng = np.random.default_rng(21)
     a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    fd_check(lambda: weighted_sum(nm.mean_over_time(a), 22), [a])
+    fd_check(lambda: weighted_sum(nm.mean_over_time(a, [5]), 22), [a])
 
 
 def test_dropout_grad_matches_mask():

@@ -69,13 +69,14 @@ def _ref_forward(params, x, emotion_class, train, rng):
     h = Tensor(np.asarray(data, dtype=params.dtype))
     h = ops.add(nm.matmul(h, params["in_proj.w"]), params["in_proj.b"])
     h = nm.add(h, Tensor(positional_encoding(data.shape[0], cfg.hidden_dim, params.dtype)))
+    lengths = [data.shape[0]]
     for i in range(cfg.n_fft_blocks):
         p = f"block{i}."
         h = nm.layer_norm(nm.add(h, _ref_attention(params, p, h, train, rng)),
                           params[p + "norm1.gain"], params[p + "norm1.bias"])
-        c = ops.relu(nm.conv1d(h, params[p + "conv1.w"], params[p + "conv1.b"]))
+        c = ops.relu(nm.conv1d(h, params[p + "conv1.w"], params[p + "conv1.b"], lengths))
         c = _ref_dropout(c, cfg, train, rng)
-        c = _ref_dropout(nm.conv1d(c, params[p + "conv2.w"], params[p + "conv2.b"]),
+        c = _ref_dropout(nm.conv1d(c, params[p + "conv2.w"], params[p + "conv2.b"], lengths),
                          cfg, train, rng)
         h = nm.layer_norm(nm.add(h, c), params[p + "norm2.gain"], params[p + "norm2.bias"])
     return ops.add(h, nm.take_rows(params["emb.table"], params.class_index(emotion_class)))
@@ -87,10 +88,12 @@ def _ref_batch_losses(params, corpus, cfg, rng):
         x_emo, x_neu = sample_pair(corpus, cfg.pair_policy, rng)
         pair = make_mix_pair(x_emo, x_neu, rng)
         y = params.class_index(pair.emotion_label)
-        h_i = nm.mean_over_time(_ref_forward(params, pair.x_mix_i, y, True, rng))
-        h_j = nm.mean_over_time(_ref_forward(params, pair.x_mix_j, y, True, rng))
+        # each mixture alone: a batch of one segment, pooled into one row
+        x_i, x_j = pair.x_mix_i, pair.x_mix_j
+        h_i = nm.mean_over_time(_ref_forward(params, x_i, y, True, rng), [len(x_i)])
+        h_j = nm.mean_over_time(_ref_forward(params, x_j, y, True, rng), [len(x_j)])
         mix_terms.append(mixup_ce(classify(params, h_i), classify(params, h_j),
-                                  pair.lambda_i, pair.lambda_j, y, 0))
+                                  [pair.lambda_i], [pair.lambda_j], y, 0))
         rank_terms.append(rank_loss(
             project_score(params, h_i), project_score(params, h_j),
             normalized_lambda_diff(pair.lambda_i, pair.lambda_j)))
@@ -101,7 +104,7 @@ def _ref_batch_losses(params, corpus, cfg, rng):
     return nm.scale(l_mix, inv), nm.scale(l_rank, inv)
 
 
-def _ref_conv1d(x, kernel, bias=None, lengths=None, *, relu=False, p=0.0, keep=None):
+def _ref_conv1d(x, kernel, bias, lengths, *, relu=False, p=0.0, keep=None):
     """Segmented "same" conv1d that keeps its (T, K*C_in) columns alive until
     the backward pass runs, with its epilogue as separate ``relu`` and
     ``dropout`` ops."""

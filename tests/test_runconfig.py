@@ -1,9 +1,13 @@
 """Run configuration: defaults, merging, hashing, and seed precedence."""
 
+import hashlib
+import inspect
 import json
 
 import pytest
 
+from emorank.cli import build_parser
+from emorank.codebook import build_codebook
 from emorank.extractor import ExtractorConfig
 from emorank.features import FeatureConfig
 from emorank.runconfig import (DEFAULTS, ConfigError, RunConfig, SEED_ENV_VAR,
@@ -91,6 +95,16 @@ def test_config_hash_pinned():
         "11463a705017102ade3760623673ef355029eb7c5ea30ea201d988cc0630c352"
     assert spec_digest(RunConfig().synth_spec()) == spec_digest(SynthSpec()) == \
         "a72f32bbf3a4450f4877c82e5cb000354755c0c47665a037916fb8899b60a7b1"
+
+
+def test_codebook_defaults_are_build_codebooks_own():
+    keywords = inspect.signature(build_codebook).parameters
+    assert DEFAULTS["codebook"] == {name: keywords[name].default
+                                    for name in ("n_bins", "policy", "level_source")}
+    # the --help epilog is pinned byte for byte, as test_config_hash_pinned
+    # pins the defaults' hash
+    assert hashlib.sha256(build_parser().epilog.encode("utf-8")).hexdigest() == \
+        "0339b89463edc8ec7f84e6ed0daf60e08242ded57b8ca8632ef6c296fa89802e"
 
 
 def test_empty_document_materializes_dataclass_defaults():

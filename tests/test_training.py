@@ -201,6 +201,18 @@ def test_training_reduces_loss():
                                atol=1e-9)
 
 
+def test_training_leaves_the_callers_extractor_config_alone():
+    spec = SynthSpec(n_speakers=1, n_emotions=3, utterances_per_cell=9,
+                     frame_length_range=(6, 8))
+    corpus = generate(spec, np.random.default_rng(4)).corpus
+    ecfg = tiny_cfg(n_emotion_classes=2)
+    result = train_rank_model(corpus, ecfg, TrainConfig(iterations=1, batch_pairs=2, seed=0))
+    assert ecfg == tiny_cfg(n_emotion_classes=2)
+    # the model still takes its class count from the corpus: neutral plus three
+    assert result.params.config.n_emotion_classes == 4
+    assert result.params["emb.table"].shape == (4, 8)
+
+
 def test_zero_learning_rate_is_inert():
     corpus = synth_corpus()
     ecfg = tiny_cfg()
