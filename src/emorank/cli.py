@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from . import numerics as nm
 from .binio import FileFormatError, atomic_write
-from .codebook import (build_codebook, codebook_provenance, condition,
-                       load_codebook, read_alignment, read_phoneme_labels,
+from .codebook import (BIN_POLICIES, LEVEL_SOURCES, build_codebook, codebook_provenance,
+                       condition, load_codebook, read_alignment, read_phoneme_labels,
                        save_codebook, score_corpus)
 from .extractor import (ExtractorConfig, init_params, load_model, params_digest,
                         save_model)
@@ -438,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features_dir")
     p.add_argument("out", help="output codebook JSON")
     p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--policy", choices=["quantile", "fixed"], default=None)
-    p.add_argument("--level-source", choices=["pooled", "frames"], default=None)
+    p.add_argument("--policy", choices=BIN_POLICIES, default=None)
+    p.add_argument("--level-source", choices=LEVEL_SOURCES, default=None)
     p.set_defaults(func=cmd_codebook)
 
     p = add("condition", "map per-phoneme (emotion, level) labels to vectors")

@@ -25,6 +25,9 @@ from .numerics import Tensor
 from .training import Corpus, corpus_digest
 
 LEVEL_NAMES_3 = ("Min", "Median", "Max")
+# build_codebook's bin rules and the vectors a level averages
+BIN_POLICIES = ("quantile", "fixed")
+LEVEL_SOURCES = ("pooled", "frames")
 CODEBOOK_RESERVED_KEYS = ("neutral", "provenance")
 
 # frames per packed scoring forward: enough rows to keep BLAS busy, few
@@ -118,6 +121,9 @@ class EmotionEntry:
         if len(self.boundaries) != len(self.levels) - 1:
             raise ValueError(f"{len(self.levels)} levels need {len(self.levels) - 1} "
                              f"boundaries, got {len(self.boundaries)}")
+        if not (np.isfinite([*self.boundaries, *self.mean_scores.values()]).all()
+                and all(np.isfinite(vec).all() for vec in self.levels.values())):
+            raise ValueError("boundaries, level vectors and mean scores must be finite")
         if any(a > b for a, b in zip(self.boundaries, self.boundaries[1:])):
             raise ValueError(f"boundaries must be non-decreasing, got {self.boundaries}")
 
@@ -184,9 +190,9 @@ def build_codebook(records: list[ScoreRecord], n_bins: int = 3, *,
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    if policy not in ("quantile", "fixed"):
+    if policy not in BIN_POLICIES:
         raise ValueError(f"unknown bin policy '{policy}'")
-    if level_source not in ("pooled", "frames"):
+    if level_source not in LEVEL_SOURCES:
         raise ValueError(f"unknown level_source '{level_source}'")
     if not records:
         raise ValueError("no score records")
@@ -285,8 +291,9 @@ def load_codebook(path) -> IntensityCodebook:
     """Read a codebook written by :func:`save_codebook`. A file that is not
     one (not JSON, no ``neutral`` list, an entry without boundaries or
     levels, boundaries that are not one fewer than the levels or that
-    decrease, a level vector not as wide as ``neutral``) raises
-    :class:`FileFormatError`."""
+    decrease, a non-finite boundary, level value or mean score, such as the
+    ``NaN`` and ``Infinity`` that Python's JSON parser accepts, a level
+    vector not as wide as ``neutral``) raises :class:`FileFormatError`."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -440,7 +447,8 @@ LABELS_HEADER = "#levels v1"
 
 def read_phoneme_labels(path) -> list[tuple]:
     """Parse per-phoneme label lines 'emotion<TAB>level'; neutral rows may
-    use '-' for the level (header line '#levels v1')."""
+    use '-' for the level (header line '#levels v1'). A file without a label
+    line raises :class:`FileFormatError`."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0].strip() != LABELS_HEADER:
@@ -453,4 +461,6 @@ def read_phoneme_labels(path) -> list[tuple]:
         if len(parts) != 2:
             raise FileFormatError(f"line {n}: expected emotion<TAB>level")
         labels.append((parts[0], parts[1]))
+    if not labels:
+        raise FileFormatError("labels file has no phoneme labels")
     return labels

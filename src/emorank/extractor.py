@@ -30,6 +30,7 @@ EMOM_MAGIC = b"EMOM"
 EMOM_VERSION = 1
 
 _DTYPE_TAGS = {"f4": np.float32, "f8": np.float64}
+_TAG_OF_DTYPE = {np.dtype(dtype): tag for tag, dtype in _DTYPE_TAGS.items()}
 
 
 @dataclass
@@ -214,26 +215,22 @@ def draw_dropout_masks(cfg: ExtractorConfig, t_len: int,
     return nm.dropout_masks([(t_len, w) for w in widths], cfg.dropout, rng)
 
 
-def _dropout(x: Tensor, cfg: ExtractorConfig, keep) -> Tensor:
-    mask = next(keep, None)
-    return x if mask is None else nm.dropout(x, cfg.dropout, keep=mask)
-
-
 def _self_attention(params: ModelParams, prefix: str, x: Tensor, lengths, keep) -> Tensor:
     cfg = params.config
     q = nm.matmul(x, params[prefix + "attn.wq"], params[prefix + "attn.bq"])
     k = nm.matmul(x, params[prefix + "attn.wk"], params[prefix + "attn.bk"])
     v = nm.matmul(x, params[prefix + "attn.wv"], params[prefix + "attn.bv"])
     heads = nm.attention(q, k, v, cfg.n_heads, lengths)
-    out = nm.matmul(heads, params[prefix + "attn.wo"], params[prefix + "attn.bo"])
-    return _dropout(out, cfg, keep)
+    return nm.matmul(heads, params[prefix + "attn.wo"], params[prefix + "attn.bo"],
+                     p=cfg.dropout, keep=next(keep, None))
 
 
 def _conv_ff(params: ModelParams, prefix: str, x: Tensor, lengths, keep) -> Tensor:
     """conv1 -> ReLU -> dropout -> conv2 -> dropout as two ``conv1d`` ops:
     the ReLU and each dropout are in-place epilogues of the conv before
-    them, so the graph keeps one (T, filter) activation per block. In eval
-    mode ``keep`` yields no masks and nothing is dropped."""
+    them, as the attention output's dropout is of its output projection, so
+    the graph keeps one (T, filter) activation per block. In eval mode
+    ``keep`` yields no masks and nothing is dropped."""
     cfg = params.config
     c = nm.conv1d(x, params[prefix + "conv1.w"], params[prefix + "conv1.b"], lengths,
                   relu=True, p=cfg.dropout, keep=next(keep, None))
@@ -340,7 +337,7 @@ def project_score(params: ModelParams, h: Tensor) -> Tensor:
 def write_tensor_table(w: SectionWriter, entries: dict[str, np.ndarray]):
     w.write_u32(len(entries))
     for name, arr in entries.items():
-        tag = {np.dtype(np.float32): "f4", np.dtype(np.float64): "f8"}[arr.dtype]
+        tag = _TAG_OF_DTYPE[arr.dtype]
         w.write_str(name)
         w.write_str(tag)
         w.write_u32(arr.ndim)

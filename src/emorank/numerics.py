@@ -8,17 +8,19 @@ requires them. The sweep uses the graph up as it goes: each op output drops
 its gradient, its backward closure and its inputs once its closure has run,
 so only leaves keep gradients afterwards, and a swept graph cannot be
 backpropagated again. The op surface is deliberately small: exactly the ops
-the intensity extractor and its losses call, each loss term one op. The
-unfused ops the fused ones are tested against (per-head softmax attention,
-ReLU, log-softmax, and the log, clip and constant add of a sigmoid
-cross-entropy) live with the tests.
+the intensity extractor and its losses call, each loss term one op, and one
+body (``_affine``) behind both affine ops, ``matmul`` and ``conv1d``, with
+their ReLU and dropout as in-place epilogues. The unfused ops the fused ones
+are tested against (per-head softmax attention, ReLU, dropout, log-softmax,
+and the log, clip and constant add of a sigmoid cross-entropy) live with the
+tests.
 
 Gradient ownership: every gradient buffer belongs to exactly one tensor.
 :func:`_accumulate` copies a gradient it is handed unless its caller has
 just created it, so no two tensors share one, and the sweep hands each
 closure its node's own ``grad`` and drops it right after. A closure may
-therefore overwrite the gradient it is handed (``conv1d`` masks it in
-place), but must not keep it.
+therefore overwrite the gradient it is handed (an affine op's epilogue
+masks it in place), but must not keep it.
 
 Shapes: an op over activations takes a 2-D (rows, C) batch, plus the row
 counts of its segments as ``lengths`` if it reads segments. One sequence is
@@ -284,36 +286,26 @@ def _weight_grad(a, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, *, p: float = 0.0,
+           keep: np.ndarray | None = None) -> Tensor:
     """Matrix product of a (rows, C) batch and a (C, C_out) matrix.
 
     ``bias``, a vector with one entry per column of ``b``, is added in place
     to every row of the product: an affine layer is one op, and the graph
-    keeps no bare product beside the biased one. The backward pass forms an
-    operand's gradient only when some leaf receives it, so a constant input
-    (raw features, a one-hot matrix) costs no product.
+    keeps no bare product beside the biased one. A dropout rate ``p`` with a
+    bool ``keep`` mask from :func:`dropout_masks` drops in place too (see
+    :func:`_affine`). The backward pass forms an operand's gradient only
+    when some leaf receives it, so a constant input (raw features, a one-hot
+    matrix) costs no product.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D x 2-D, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-    if bias is not None:
-        if bias.shape != b.shape[1:]:
-            raise ValueError(f"matmul bias must be ({b.shape[1]},), got {bias.shape}")
-        out_data += bias.data
-
-    def backward(g):
-        if _needs_grad(a):
-            _accumulate(a, g @ b.data.T, fresh=True)
-        if _needs_grad(b):
-            _accumulate(b, _weight_grad(a.data, g), fresh=True)
-        if bias is not None and _needs_grad(bias):
-            _accumulate(bias, g.sum(axis=0), fresh=True)
-
-    parents = (a, b) if bias is None else (a, b, bias)
-    return _make(out_data, parents, "matmul", backward)
+    if bias is not None and bias.shape != b.shape[1:]:
+        raise ValueError(f"matmul bias must be ({b.shape[1]},), got {bias.shape}")
+    return _affine(a, b, bias, 1, None, "matmul", p=p, keep=keep)
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +383,6 @@ def _keep_scale(p: float, keep: np.ndarray, like: np.ndarray):
         raise ValueError(f"dropout mask must be bool, got {keep.dtype}")
     dtype = like.dtype.type
     return dtype(1) / dtype(1 - p)
-
-
-def dropout(a: Tensor, p: float, *, keep: np.ndarray) -> Tensor:
-    """Inverted dropout: keep with probability 1-p and rescale, so eval mode
-    needs no correction.
-
-    ``keep`` is a bool mask of ``a``'s shape drawn by :func:`dropout_masks`.
-    Kept elements are multiplied by ``c = 1/(1-p)`` in ``a``'s dtype; the
-    float mask ``keep * c`` lives only while the forward and the backward
-    product are formed, so the graph holds one byte per element.
-    """
-    c = _keep_scale(p, keep, a.data)
-    if c is None:
-        return a
-
-    def backward(g):
-        _accumulate(a, g * (keep * c), fresh=True)
-
-    return _make(a.data * (keep * c), (a,), "dropout", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -519,49 +492,31 @@ def _conv_input_grad(g: np.ndarray, w2d: np.ndarray, k: int, cross) -> np.ndarra
     return gpad[pad_lo:pad_lo + t_len]
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
-           lengths, *, relu: bool = False, p: float = 0.0,
-           keep: np.ndarray | None = None) -> Tensor:
-    """1-D convolution over time with "same" zero padding.
+def _affine(x: Tensor, w: Tensor, bias: Tensor | None, k: int, cross, op: str, *,
+            relu: bool = False, p: float = 0.0, keep: np.ndarray | None = None) -> Tensor:
+    """The body of both affine ops: ``matmul`` is its one-tap case, whose tap
+    matrix is ``x`` itself, and ``conv1d`` its ``k``-tap case.
 
-    ``x`` is (T, C_in), ``kernel`` is (K, C_in, C_out); output is (T, C_out).
-    ``lengths`` splits the rows of ``x`` into consecutive segments (``[T]``
-    for one sequence) that are convolved independently: each segment is
-    zero padded at both ends, so no output frame reads a neighbouring
-    segment. Implemented as one im2col
-    matmul over all segments so BLAS does the heavy lifting, and the kernel
-    gradient is one matmul too. ``bias`` is added to the product in place.
-    The backward pass rebuilds the im2col matrix from ``x``, one
-    weight-gradient chunk of rows at a time, rather than keeping it alive
-    between the passes, and forms only the gradients that some leaf
-    receives. It forms the input gradient first and frees its (T, K*C_in)
-    column gradient before the kernel gradient is formed, so the two never
-    coexist.
+    The tap matrix times the (K*C_in, C_out) view of ``w``, with ``bias``
+    added in place. An optional epilogue works in place too: ``relu=True``
+    multiplies by the ReLU mask ``out > 0``, and a dropout rate ``p`` with a
+    bool ``keep`` mask from :func:`dropout_masks` by ``keep * c``,
+    ``c = 1/(1-p)`` in the output's dtype (``keep=None``, as in eval mode,
+    drops nothing). These are the products a separate ReLU op and then a
+    separate dropout op form, so every bit is theirs, but the graph keeps one
+    (T, C_out) array where that chain keeps three.
 
-    An optional epilogue then works on the product in place: ``relu=True``
-    multiplies it by its ReLU mask ``out > 0``, and a dropout rate ``p``
-    with a bool ``keep`` mask from :func:`dropout_masks` multiplies it by
-    ``keep * c``, ``c = 1/(1-p)`` in its dtype (``keep=None``, as in eval
-    mode, drops nothing). These are the products that a separate ReLU op
-    and then :func:`dropout` form, so every bit is theirs, but the graph
-    keeps one (T, C_out) array where that chain keeps three. The backward reads the
-    ReLU mask back from the output: a kept element is positive exactly when
-    the product was, and a dropped one has a zero gradient either way.
+    The backward masks its own gradient in place, reading the ReLU mask back
+    from the output (a kept element is positive exactly when the product
+    was, and a dropped one has a zero gradient either way). It then forms
+    only the gradients some leaf receives: the input gradient first, freeing
+    its (T, K*C_in) column gradient before the kernel gradient is formed
+    through :func:`_weight_grad` from tap-matrix rows rebuilt one chunk at a
+    time, and the bias gradient last.
     """
-    if x.data.ndim != 2 or kernel.data.ndim != 3:
-        raise ValueError(f"conv1d expects (T,Cin) x (K,Cin,Cout), got {x.shape} x {kernel.shape}")
-    t_len, c_in = x.shape
-    k, kc_in, c_out = kernel.shape
-    if kc_in != c_in:
-        raise ValueError(f"conv1d channel mismatch: input {c_in}, kernel {kc_in}")
-    _runs(lengths, t_len)  # validates the segment lengths
-    # taps that would read a neighbouring segment read its padding instead
-    cross = _cross_taps(lengths, t_len, k) if k > 1 else None
-    w2d = kernel.data.reshape(k * c_in, c_out)
+    w2d = w.data.reshape(-1, w.shape[-1])
     out_data = _im2col(x.data, k, cross) @ w2d
     if bias is not None:
-        if bias.shape != (c_out,):
-            raise ValueError(f"conv1d bias must be ({c_out},), got {bias.shape}")
         out_data += bias.data
     if relu:
         out_data *= out_data > 0
@@ -576,20 +531,44 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
             g *= c
         if relu:
             g *= out_data > 0
-        # the input gradient first, so that its (T, K*C_in) column gradient
-        # is gone before the kernel gradient is formed
         if _needs_grad(x):
             _accumulate(x, _conv_input_grad(g, w2d, k, cross), fresh=True)
-        if _needs_grad(kernel):
-            # the columns are rebuilt one gradient chunk at a time: the same
-            # rows in the same layout as slices of the whole matrix
+        if _needs_grad(w):
+            # the same rows in the same layout as slices of the whole matrix
             cols = functools.partial(_im2col, x.data, k, cross)
-            _accumulate(kernel, _weight_grad(cols, g).reshape(k, c_in, c_out), fresh=True)
+            _accumulate(w, _weight_grad(cols, g).reshape(w.shape), fresh=True)
         if bias is not None and _needs_grad(bias):
             _accumulate(bias, g.sum(axis=0), fresh=True)
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _make(out_data, parents, "conv1d", backward)
+    parents = (x, w) if bias is None else (x, w, bias)
+    return _make(out_data, parents, op, backward)
+
+
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
+           lengths, *, relu: bool = False, p: float = 0.0,
+           keep: np.ndarray | None = None) -> Tensor:
+    """1-D convolution over time with "same" zero padding.
+
+    ``x`` is (T, C_in), ``kernel`` is (K, C_in, C_out); output is (T, C_out).
+    ``lengths`` splits the rows of ``x`` into consecutive segments (``[T]``
+    for one sequence) that are convolved independently: each segment is
+    zero padded at both ends, so no output frame reads a neighbouring
+    segment. Implemented as one im2col matmul over all segments so BLAS does
+    the heavy lifting, with ``bias``, the ``relu`` and ``p``/``keep``
+    epilogue and the backward of :func:`_affine`.
+    """
+    if x.data.ndim != 2 or kernel.data.ndim != 3:
+        raise ValueError(f"conv1d expects (T,Cin) x (K,Cin,Cout), got {x.shape} x {kernel.shape}")
+    t_len, c_in = x.shape
+    k, kc_in, c_out = kernel.shape
+    if kc_in != c_in:
+        raise ValueError(f"conv1d channel mismatch: input {c_in}, kernel {kc_in}")
+    if bias is not None and bias.shape != (c_out,):
+        raise ValueError(f"conv1d bias must be ({c_out},), got {bias.shape}")
+    _runs(lengths, t_len)  # validates the segment lengths
+    # taps that would read a neighbouring segment read its padding instead
+    cross = _cross_taps(lengths, t_len, k) if k > 1 else None
+    return _affine(x, kernel, bias, k, cross, "conv1d", relu=relu, p=p, keep=keep)
 
 
 def _segment_chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -33,6 +33,9 @@ from .numerics import AdamState, NonFiniteError, Tensor
 CHECKPOINT_MAGIC = b"EMOA"  # optimizer appendix section of a checkpoint file
 CHECKPOINT_VERSION = 1
 
+# how a neutral partner is picked for an emotional utterance (see sample_pair)
+PAIR_POLICIES = ("same_speaker", "any")
+
 
 class TrainingError(RuntimeError):
     """Raised when optimization cannot continue (non-finite loss/gradient)."""
@@ -46,7 +49,7 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     loss_weights: LossWeights = field(default_factory=LossWeights)
-    pair_policy: str = "same_speaker"  # or "any"
+    pair_policy: str = "same_speaker"  # one of PAIR_POLICIES
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -58,7 +61,7 @@ class TrainConfig:
             raise ValueError(f"batch_pairs must be >= 1, got {self.batch_pairs}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.pair_policy not in ("same_speaker", "any"):
+        if self.pair_policy not in PAIR_POLICIES:
             raise ValueError(f"unknown pair_policy '{self.pair_policy}'")
         if isinstance(self.loss_weights, dict):
             self.loss_weights = LossWeights(**self.loss_weights)
@@ -163,7 +166,7 @@ def sample_pair(corpus: Corpus, policy: str,
     Under ``same_speaker`` the partner comes from the same speaker whenever
     that speaker has neutral data, otherwise from the whole neutral pool.
     """
-    if policy not in ("same_speaker", "any"):
+    if policy not in PAIR_POLICIES:
         raise ValueError(f"unknown pair_policy '{policy}'")
     emo = corpus.utterances[corpus.emotional_idx[
         int(rng.integers(len(corpus.emotional_idx)))]]

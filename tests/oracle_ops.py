@@ -2,8 +2,8 @@
 
 The library keeps exactly the ops the pipeline calls. These are the unfused
 pieces the fused ops are checked against (per-head attention from slices, a
-transpose, softmax and a concat; a separate ReLU after ``conv1d``; an affine
-layer's bias as a separate row-broadcast add; cross-entropy as a
+transpose, softmax and a concat; a separate ReLU and dropout after an affine
+op; an affine layer's bias as a separate row-broadcast add; cross-entropy as a
 log-softmax and pick chain, or take_rows for 1-D logits, and the rank term as
 a sigmoid, clip, log chain) and the elementwise product and full sum that the
 finite-difference tests read gradients through. They record their nodes
@@ -89,6 +89,20 @@ def relu(a):
         nm._accumulate(a, g * mask, fresh=True)
 
     return nm._make(a.data * mask, (a,), "relu", backward)
+
+
+def dropout(a, p: float, *, keep):
+    """Inverted dropout as an op of its own: ``a`` times ``keep * c``,
+    ``c = 1/(1-p)`` in ``a``'s dtype, for a bool ``keep`` mask from
+    ``nm.dropout_masks``; ``p`` = 0 returns ``a`` itself."""
+    c = nm._keep_scale(p, keep, a.data)
+    if c is None:
+        return a
+
+    def backward(g):
+        nm._accumulate(a, g * (keep * c), fresh=True)
+
+    return nm._make(a.data * (keep * c), (a,), "dropout", backward)
 
 
 def softmax(a, axis: int = -1):

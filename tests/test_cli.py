@@ -259,6 +259,14 @@ def test_malformed_alignment_exits_4_and_writes_nothing(codebook_path, tmp_path,
     assert sorted(os.listdir(tmp_path)) == ["say.align", "say.labels"]
 
 
+def test_header_only_labels_exit_4_and_write_nothing(codebook_path, tmp_path, capsys):
+    labels = tmp_path / "say.labels"
+    labels.write_text("#levels v1\n")
+    assert main(["condition", codebook_path, str(labels), str(tmp_path / "say.emof")]) == 4
+    assert "no phoneme labels" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["say.labels"]
+
+
 def test_condition_unknown_emotion(codebook_path, tmp_path):
     labels = tmp_path / "bad.labels"
     labels.write_text("#levels v1\nghost\tMin\n")
@@ -496,12 +504,24 @@ def test_format_errors_exit_4(pipeline, tmp_path, capsys):
     no_levels = {"angry": {"boundaries": [0.5]}, "neutral": [0.0, 0.0]}
     extra_bounds = json.loads(json.dumps(good))
     extra_bounds["angry"]["boundaries"] = [0.1, 0.2, 0.3]
+    # json parses NaN and Infinity; no codebook value may be either
+    non_finite = []
+    for path, value in [(("levels", "L1"), [1.0, math.nan]), (("boundaries",), [math.nan]),
+                        (("boundaries",), [math.inf]),
+                        (("mean_scores",), {"L0": 0.0, "L1": math.nan})]:
+        doc = json.loads(json.dumps(good))
+        entry = doc["angry"]
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        non_finite.append(json.dumps(doc))
     labels = tmp_path / "c.labels"
     labels.write_text("#levels v1\nangry\tL1\n")
     align_ok = "#phonemes v1\nAH\t0.0\t0.3\n"
     cases = [("{nope", align_ok), (json.dumps(no_levels), align_ok),
              (json.dumps(wide), align_ok), (json.dumps({"neutral": 5}), align_ok),
              (json.dumps(extra_bounds), align_ok),
+             *((text, align_ok) for text in non_finite),
              (json.dumps(good), "#phonemes v1\nAH\tzero\t0.3\n")]
     for cb_text, align_text in cases:
         cb, align, out = tmp_path / "cb.json", tmp_path / "c.align", tmp_path / "c.emof"

@@ -148,15 +148,15 @@ def test_take_rows_forward_and_range():
 def test_dropout_eval_identity_and_scaling():
     x = Tensor(np.ones((50, 20)))
     keep = nm.dropout_masks([x.shape], 0.5, np.random.default_rng(0))[0]
-    assert nm.dropout(x, 0.0, keep=keep) is x
-    out = nm.dropout(x, 0.5, keep=keep).data
+    assert ops.dropout(x, 0.0, keep=keep) is x
+    out = ops.dropout(x, 0.5, keep=keep).data
     assert set(np.unique(out)) == {0.0, 2.0}
 
 
 def test_dropout_deterministic_given_seed():
     x = Tensor(np.ones((30, 10)))
-    a, b = (nm.dropout(x, 0.3, keep=nm.dropout_masks([x.shape], 0.3,
-                                                      np.random.default_rng(7))[0]).data
+    a, b = (ops.dropout(x, 0.3, keep=nm.dropout_masks([x.shape], 0.3,
+                                                       np.random.default_rng(7))[0]).data
             for _ in range(2))
     np.testing.assert_array_equal(a, b)
 
@@ -194,13 +194,43 @@ def test_bool_mask_dropout_equals_the_float_mask_product_bitwise(dtype, p):
     seed = rng.normal(size=(40, 24)).astype(dtype)
     keep = nm.dropout_masks([x_data.shape], p, rng)[0]
     x = Tensor(x_data.copy(), requires_grad=True)
-    out = nm.dropout(x, p, keep=keep)
+    out = ops.dropout(x, p, keep=keep)
     out.backward(seed)
     mask = _float_mask(keep, p, dtype)
     assert out.data.dtype == x.grad.dtype == mask.dtype == dtype
     # bytes, not values: the sign of every zero must agree too
     assert out.data.tobytes() == (x_data * mask).tobytes()
     assert x.grad.tobytes() == (seed * mask).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_dropout_epilogue_equals_the_oracle_dropout_bitwise(dtype):
+    rng = np.random.default_rng(24)
+    # 300 rows: more than one weight-gradient chunk
+    arrays = [rng.normal(size=shape).astype(dtype) for shape in ((300, 6), (6, 5), (5,))]
+    seed = rng.normal(size=(300, 5)).astype(dtype)
+    keep = nm.dropout_masks([(300, 5)], 0.3, rng)[0]
+    results = []
+    for fused in (True, False):
+        a, b, bias = (Tensor(x.copy(), requires_grad=True) for x in arrays)
+        if fused:
+            out = nm.matmul(a, b, bias, p=0.3, keep=keep)
+        else:
+            out = ops.dropout(nm.matmul(a, b, bias), 0.3, keep=keep)
+        out.backward(seed)
+        results.append([out.data, a.grad, b.grad, bias.grad])
+    for new, ref in zip(*results):
+        assert new.dtype == dtype and new.shape == ref.shape
+        assert new.tobytes() == ref.tobytes()  # also tells -0.0 from 0.0
+    out = results[0][0]
+    assert (np.signbit(out) & (out == 0)).any()  # dropped negative products
+    # no mask, as in eval mode, drops nothing; a mask must be a bool array of
+    # the product's shape
+    a, b = (Tensor(x) for x in arrays[:2])
+    assert nm.matmul(a, b, p=0.3).data.tobytes() == nm.matmul(a, b).data.tobytes()
+    for wrong in (keep[:, :4], keep.astype(dtype)):
+        with pytest.raises(ValueError):
+            nm.matmul(a, b, p=0.3, keep=wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +256,17 @@ def test_matmul_bias_grad(a_shape):
     fd_check(lambda: weighted_sum(nm.matmul(a, b, bias), 98), [a, b, bias], tol=1e-5)
     with pytest.raises(ValueError):
         nm.matmul(a, b, Tensor(np.zeros(6)))
+
+
+def test_matmul_dropout_epilogue_grads():
+    rng = np.random.default_rng(25)
+    a = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=3), requires_grad=True)
+    keep = nm.dropout_masks([(7, 3)], 0.4, rng)[0]
+    assert keep.any() and not keep.all()
+    fd_check(lambda: weighted_sum(nm.matmul(a, b, bias, p=0.4, keep=keep), 97),
+             [a, b, bias], tol=1e-6)
 
 
 def test_gradients_nobody_receives_are_not_formed(monkeypatch):
@@ -437,12 +478,12 @@ def test_dropout_masks_draw_like_consecutive_dropouts():
     for m in masks:
         np.testing.assert_array_equal(nm.dropout_masks([m.shape], 0.3, rng)[0], m)
     x = Tensor(np.ones((3, 4), dtype=np.float32))
-    np.testing.assert_array_equal(nm.dropout(x, 0.3, keep=masks[0]).data,
+    np.testing.assert_array_equal(ops.dropout(x, 0.3, keep=masks[0]).data,
                                   _float_mask(masks[0], 0.3, np.float32))
     with pytest.raises(ValueError):
-        nm.dropout(x, 0.3, keep=masks[1])
+        ops.dropout(x, 0.3, keep=masks[1])
     with pytest.raises(ValueError):
-        nm.dropout(x, 0.3, keep=_float_mask(masks[0], 0.3, np.float32))
+        ops.dropout(x, 0.3, keep=_float_mask(masks[0], 0.3, np.float32))
 
 
 def test_slice_concat_transpose_pick_grads():
@@ -478,7 +519,7 @@ def test_mean_over_time_grad():
 
 def test_dropout_grad_matches_mask():
     x = Tensor(np.ones((20, 10)), requires_grad=True)
-    out = nm.dropout(x, 0.4, keep=nm.dropout_masks([x.shape], 0.4, np.random.default_rng(5))[0])
+    out = ops.dropout(x, 0.4, keep=nm.dropout_masks([x.shape], 0.4, np.random.default_rng(5))[0])
     ops.sum_all(out).backward()
     # gradient is exactly the applied keep/rescale mask
     np.testing.assert_array_equal(x.grad, out.data)

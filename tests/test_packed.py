@@ -8,8 +8,9 @@ separate bias add, and the batch mean as a chain of adds. More oracles
 cover the memory of a training step: a ``conv1d`` that keeps its im2col
 columns for the backward pass and runs its ReLU and dropout epilogue as
 separate ``relu`` and ``dropout`` ops, a ``matmul`` that forms both
-operands' gradients whether or not a leaf receives them, a gradient store
-that always copies, and a backward sweep that leaves the graph intact.
+operands' gradients whether or not a leaf receives them and runs its
+dropout as a separate op, a gradient store that always copies, and a
+backward sweep that leaves the graph intact.
 The unfused ops the library no longer has come from ``oracle_ops``.
 """
 
@@ -42,7 +43,7 @@ from emorank.training import (TrainConfig, _batch_losses, compute_feature_stats,
 def _ref_dropout(x, cfg, train, rng):
     if not (train and cfg.dropout > 0.0):
         return x
-    return nm.dropout(x, cfg.dropout, keep=nm.dropout_masks([x.shape], cfg.dropout, rng)[0])
+    return ops.dropout(x, cfg.dropout, keep=nm.dropout_masks([x.shape], cfg.dropout, rng)[0])
 
 
 def _ref_attention(params, prefix, x, train, rng):
@@ -145,12 +146,13 @@ def _ref_conv1d(x, kernel, bias, lengths, *, relu=False, p=0.0, keep=None):
     out = nm._make(out_data, parents, "conv1d", backward)
     if relu:
         out = ops.relu(out)
-    return out if keep is None else nm.dropout(out, p, keep=keep)
+    return out if keep is None else ops.dropout(out, p, keep=keep)
 
 
-def _ref_matmul(a, b, bias=None):
+def _ref_matmul(a, b, bias=None, *, p=0.0, keep=None):
     """Matrix product that forms both operands' gradients even when no leaf
-    receives them, with its bias added by a separate ``add`` op."""
+    receives them, with its bias added by a separate ``add`` op and its
+    dropout by a separate ``dropout`` op."""
     def backward(g):
         if a.data.ndim == 1:
             nm._accumulate(a, b.data @ g)
@@ -160,7 +162,8 @@ def _ref_matmul(a, b, bias=None):
             nm._accumulate(b, nm._weight_grad(a.data, g))
 
     out = nm._make(a.data @ b.data, (a, b), "matmul", backward)
-    return out if bias is None else ops.add(out, bias)
+    out = out if bias is None else ops.add(out, bias)
+    return out if keep is None else ops.dropout(out, p, keep=keep)
 
 
 def _intact_backward(root):
@@ -449,9 +452,9 @@ def test_conv_epilogue_equals_the_unfused_relu_and_dropout_chain_bitwise(dtype, 
             out = nm.conv1d(c, w2, b2, lengths, p=p, keep=keep2)
         else:
             c = ops.relu(nm.conv1d(x, w1, b1, lengths))
-            c = c if keep1 is None else nm.dropout(c, p, keep=keep1)
+            c = c if keep1 is None else ops.dropout(c, p, keep=keep1)
             out = nm.conv1d(c, w2, b2, lengths)
-            out = out if keep2 is None else nm.dropout(out, p, keep=keep2)
+            out = out if keep2 is None else ops.dropout(out, p, keep=keep2)
         out.backward(seed)
         results.append([c.data, out.data] + [t.grad for t in (x, w1, b1, w2, b2)])
     for new, ref in zip(*results):
@@ -563,9 +566,9 @@ def test_backward_releases_the_tape_and_keeps_the_leaf_grads(dtype):
 
     root = _packed_total_loss(params, corpus)
     ops = [node for node in ComputeGraph.trace(root).nodes if node._parents]
-    # 49 ops, every kind a training step records among them
+    # 47 ops, every kind a training step records among them
     assert len(ops) > 40
-    assert {node.op for node in ops} >= {"matmul", "attention", "conv1d", "dropout",
+    assert {node.op for node in ops} >= {"matmul", "attention", "conv1d",
                                          "layer_norm", "mean_over_time",
                                          "soft_cross_entropy", "bce_with_logits"}
     grads = grads_of(params, root)
@@ -594,10 +597,10 @@ def test_constant_matmul_inputs_get_no_gradient(monkeypatch):
     constants, sent = [], []
     matmul, accumulate = nm.matmul, nm._accumulate
 
-    def recording_matmul(a, b, bias=None):
+    def recording_matmul(a, b, bias=None, **epilogue):
         if not (a.requires_grad or a._parents):
             constants.append(a)
-        return matmul(a, b, bias)
+        return matmul(a, b, bias, **epilogue)
 
     def recording_accumulate(t, g, fresh=False):
         sent.append(t)
@@ -687,9 +690,10 @@ def test_one_packed_forward_and_a_small_tape_per_iteration(monkeypatch):
     training.train_rank_model(data.corpus, ecfg, TrainConfig(
         iterations=2, learning_rate=1e-3, batch_pairs=8, seed=0))
     assert len(calls) == 2
-    # 93 nodes, leaves included; the conv1d -> relu -> dropout chain made 124,
-    # and the unfused log-softmax and clamped-sigmoid losses 118
-    assert tapes == [93, 93], tapes
+    # 91 nodes, leaves included; the attention output's separate dropout
+    # made 93, the conv1d -> relu -> dropout chain 124, and the unfused
+    # log-softmax and clamped-sigmoid losses 118
+    assert tapes == [91, 91], tapes
 
 
 _THREADS_SCRIPT = """

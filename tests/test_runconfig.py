@@ -97,7 +97,7 @@ def test_config_hash_pinned():
         "a72f32bbf3a4450f4877c82e5cb000354755c0c47665a037916fb8899b60a7b1"
 
 
-def test_codebook_defaults_are_build_codebooks_own():
+def test_codebook_defaults_are_build_codebooks_own(monkeypatch, capsys):
     keywords = inspect.signature(build_codebook).parameters
     assert DEFAULTS["codebook"] == {name: keywords[name].default
                                     for name in ("n_bins", "policy", "level_source")}
@@ -105,6 +105,13 @@ def test_codebook_defaults_are_build_codebooks_own():
     # pins the defaults' hash
     assert hashlib.sha256(build_parser().epilog.encode("utf-8")).hexdigest() == \
         "0339b89463edc8ec7f84e6ed0daf60e08242ded57b8ca8632ef6c296fa89802e"
+    # so is the codebook command's help, whose choices are BIN_POLICIES and
+    # LEVEL_SOURCES (argparse's 80-column layout as of Python 3.10)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["codebook", "--help"])
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == \
+        "95d8dca00b84f60e4125cf0fad87f6a5e443bc7684dd99d822dc20a57c415e5d"
 
 
 def test_empty_document_materializes_dataclass_defaults():
