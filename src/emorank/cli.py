@@ -348,7 +348,7 @@ def run_gradcheck(gc: dict, seed: int) -> tuple[dict, bool]:
     weights = LossWeights()
 
     def loss_value() -> nm.Tensor:
-        l_mix, l_rank = pair_losses(params, [pair], train=False)
+        l_mix, l_rank = pair_losses(params, [pair])
         return total_loss(l_mix, l_rank, weights)
 
     loss = loss_value()

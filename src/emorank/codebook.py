@@ -392,7 +392,7 @@ def read_alignment(path) -> PhonemeAlignment:
 
 
 def write_alignment(align: PhonemeAlignment, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(ALIGNMENT_HEADER + "\n")
         for iv in align.intervals:
             fh.write(f"{iv.symbol}\t{iv.start_s!r}\t{iv.end_s!r}\n")

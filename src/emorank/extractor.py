@@ -229,8 +229,8 @@ def _conv_ff(params: ModelParams, prefix: str, x: Tensor, lengths, keep) -> Tens
     """conv1 -> ReLU -> dropout -> conv2 -> dropout as two ``conv1d`` ops:
     the ReLU and each dropout are in-place epilogues of the conv before
     them, as the attention output's dropout is of its output projection, so
-    the graph keeps one (T, filter) activation per block. In eval mode
-    ``keep`` yields no masks and nothing is dropped."""
+    the graph keeps one (T, filter) activation per block. In eval mode, and
+    at dropout 0, ``keep`` yields no masks and nothing is dropped."""
     cfg = params.config
     c = nm.conv1d(x, params[prefix + "conv1.w"], params[prefix + "conv1.b"], lengths,
                   relu=True, p=cfg.dropout, keep=next(keep, None))
@@ -248,7 +248,7 @@ def _fft_block(params: ModelParams, index: int, x: Tensor, lengths, keep) -> Ten
 
 
 def forward_intensity(params: ModelParams, x, emotion_class, *,
-                      train: bool = False, dropout_masks: list | None = None) -> Tensor:
+                      dropout_masks: list | None = None) -> Tensor:
     """Per-frame intensity representation: FFT blocks plus the class embedding.
 
     ``x`` is a list of raw (T, input_dim) feature matrices and
@@ -261,10 +261,12 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
     frames. Pool the result with the segment lengths. A bare matrix and one
     class are a batch of one.
 
-    Normalization statistics stored on the model are applied first. Eval
-    mode (default) is deterministic; ``train=True`` enables dropout with the
-    per-segment bool masks of ``dropout_masks`` (one :func:`draw_dropout_masks`
-    list per segment), each site's masks joined along time.
+    Normalization statistics stored on the model are applied first. A
+    forward handed ``dropout_masks`` is a training forward: one
+    :func:`draw_dropout_masks` list per segment (``3 * n_fft_blocks`` bool
+    masks, or none at dropout 0), each site's masks joined along time; any
+    other count raises ValueError. Without masks the forward is eval mode
+    and deterministic.
     """
     cfg = params.config
     if not isinstance(x, (list, tuple)):
@@ -282,11 +284,10 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
         data = (data - params.feat_mean) / params.feat_std
 
     keep = iter(())
-    if train and cfg.dropout > 0.0:
-        if dropout_masks is None:
-            raise ValueError("a training-mode forward needs its dropout masks")
-        if [len(m) for m in dropout_masks] != [3 * cfg.n_fft_blocks] * len(segments):
-            raise ValueError(f"need {3 * cfg.n_fft_blocks} dropout masks for each of "
+    if dropout_masks is not None:
+        n_masks = 3 * cfg.n_fft_blocks if cfg.dropout > 0.0 else 0
+        if [len(m) for m in dropout_masks] != [n_masks] * len(segments):
+            raise ValueError(f"need {n_masks} dropout masks for each of "
                              f"{len(segments)} segments")
         keep = (np.concatenate(site) for site in zip(*dropout_masks))
 
@@ -415,15 +416,9 @@ def _read_model_section(fh) -> tuple[ModelParams, dict]:
     return params, blob.get("meta", {})
 
 
-def load_model(path) -> tuple[ModelParams, ExtractorConfig]:
-    """Read a model (or the model section of a checkpoint); trailing sections
-    are ignored here."""
-    with open(path, "rb") as fh:
-        params, _ = _read_model_section(fh)
-    return params, params.config
-
-
-def load_model_with_meta(path) -> tuple[ModelParams, dict]:
+def load_model(path) -> tuple[ModelParams, dict]:
+    """Read a model (or the model section of a checkpoint) and the ``meta``
+    dict saved with it; trailing sections are ignored here."""
     with open(path, "rb") as fh:
         return _read_model_section(fh)
 

@@ -216,16 +216,14 @@ def _autocorrelation(frames: np.ndarray, n_lags: int) -> np.ndarray:
     return acf
 
 
-def extract_pitch(audio: np.ndarray, cfg: FeatureConfig,
-                  fmin_hz: float = PITCH_FMIN_HZ, fmax_hz: float = PITCH_FMAX_HZ,
-                  voicing_threshold: float = PITCH_VOICING_THRESHOLD) -> np.ndarray:
+def extract_pitch(audio: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """(T, 1) per-frame F0 as log-Hz; unvoiced frames are exactly 0.
 
     Short-time autocorrelation with peak picking in the candidate lag range
-    (``fmin_hz``..``fmax_hz``, by default 60-400 Hz) and parabolic
+    (``PITCH_FMIN_HZ``..``PITCH_FMAX_HZ``, 60-400 Hz) and parabolic
     refinement. A frame is voiced when the picked lag is a local maximum of
-    the autocorrelation and its normalized peak exceeds
-    ``voicing_threshold``, so a tone outside the range reads as unvoiced,
+    the autocorrelation and its normalized peak reaches
+    ``PITCH_VOICING_THRESHOLD``, so a tone outside the range reads as unvoiced,
     not as a pitch on the range's edge. The autocorrelation is computed by
     FFT at the shortest fast length N >= win + lag_max + 1, so that no lag
     read by the refinement (up to lag_max + 1) is aliased.
@@ -234,8 +232,8 @@ def extract_pitch(audio: np.ndarray, cfg: FeatureConfig,
     frames = frames - frames.mean(axis=1, keepdims=True)
     win = cfg.window_samples
     sr = cfg.sample_rate_hz
-    lag_min = max(2, int(sr / fmax_hz))
-    lag_max = min(win - 2, int(math.ceil(sr / fmin_hz)))
+    lag_min = max(2, int(sr / PITCH_FMAX_HZ))
+    lag_max = min(win - 2, int(math.ceil(sr / PITCH_FMIN_HZ)))
     if lag_min >= lag_max:
         raise ValueError("analysis window too short for the pitch search range")
 
@@ -248,7 +246,7 @@ def extract_pitch(audio: np.ndarray, cfg: FeatureConfig,
     # an argmax on the range's edge that is still rising toward a period
     # outside the range is no peak: only a local maximum can be voiced
     voiced = (r0 > LOG_FLOOR) & (y1 >= y0) & (y1 >= y2)
-    voiced[voiced] = y1[voiced] / r0[voiced] >= voicing_threshold
+    voiced[voiced] = y1[voiced] / r0[voiced] >= PITCH_VOICING_THRESHOLD
     # parabolic interpolation around the integer peak
     y0, y1, y2, lag = y0[voiced], y1[voiced], y2[voiced], lag[voiced]
     denom = y0 - 2.0 * y1 + y2

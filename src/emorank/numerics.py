@@ -1,26 +1,16 @@
 """Minimal dense-tensor arithmetic with reverse-mode differentiation.
 
 Every operation that participates in training is defined here as a pure
-function over :class:`Tensor` values. Forward calls record their inputs on
-the output tensor; :meth:`Tensor.backward` replays the implicit graph in
-reverse topological order and accumulates gradients into every leaf that
-requires them. The sweep uses the graph up as it goes: each op output drops
-its gradient, its backward closure and its inputs once its closure has run,
-so only leaves keep gradients afterwards, and a swept graph cannot be
-backpropagated again. The op surface is deliberately small: exactly the ops
-the intensity extractor and its losses call, each loss term one op, and one
-body (``_affine``) behind both affine ops, ``matmul`` and ``conv1d``, with
-their ReLU and dropout as in-place epilogues. The unfused ops the fused ones
-are tested against (per-head softmax attention, ReLU, dropout, log-softmax,
-and the log, clip and constant add of a sigmoid cross-entropy) live with the
-tests.
-
-Gradient ownership: every gradient buffer belongs to exactly one tensor.
-:func:`_accumulate` copies a gradient it is handed unless its caller has
-just created it, so no two tensors share one, and the sweep hands each
-closure its node's own ``grad`` and drops it right after. A closure may
-therefore overwrite the gradient it is handed (an affine op's epilogue
-masks it in place), but must not keep it.
+function over :class:`Tensor` values. A forward call with an input that
+requires a gradient records its inputs on its output; :meth:`Tensor.backward`
+replays that graph in reverse topological order, accumulates gradients into
+every leaf that requires them and uses the graph up as it goes. The op
+surface is deliberately small: exactly the ops the intensity extractor and
+its losses call, each loss term one op, and one body (``_affine``) behind
+both affine ops, ``matmul`` and ``conv1d``, with their ReLU and dropout as
+in-place epilogues. The unfused ops the fused ones are tested against
+(per-head softmax attention, ReLU, dropout, log-softmax, and the log, clip
+and constant add of a sigmoid cross-entropy) live with the tests.
 
 Shapes: an op over activations takes a 2-D (rows, C) batch, plus the row
 counts of its segments as ``lengths`` if it reads segments. One sequence is
@@ -54,21 +44,23 @@ def _promote(data):
 class Tensor:
     """A dense array plus the bookkeeping for reverse-mode gradients.
 
-    ``requires_grad`` marks a trainable leaf; tensors produced by ops derive
-    the flag from their parents so constant subgraphs cost nothing on the
-    backward pass. :meth:`backward` leaves a ``grad`` of the same shape and
-    dtype as ``data`` on every leaf it reaches; an op output's ``grad`` lives
-    only while the sweep passes it.
+    ``requires_grad`` marks a tensor whose gradient is wanted: a trainable
+    leaf, or an op output that depends on one. Only those outputs record
+    their inputs and a backward closure (see :func:`_make`), so constant
+    subgraphs cost nothing on the backward pass.
+    :meth:`backward` leaves a ``grad`` of the same shape and dtype as
+    ``data`` on every leaf it reaches; an op output's ``grad`` lives only
+    while the sweep passes it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, op="leaf", parents=()):
+    def __init__(self, data, requires_grad=False, op="leaf"):
         self.data = _promote(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = op
-        self._parents = parents
+        self._parents = ()
         self._backward = None
 
     @property
@@ -94,10 +86,34 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into ``grad`` of every reachable leaf.
 
         ``seed`` defaults to ones, so calling it on a scalar loss gives plain
-        gradients. Visits each graph node exactly once and releases the graph
-        behind ``self`` (see :meth:`ComputeGraph.backward`).
+        gradients. The sweep visits each node of :meth:`ComputeGraph.trace`
+        exactly once, in reverse topological order; a tensor that does not
+        feed ``self`` keeps a zero (None) grad. It consumes the graph: once a
+        node's closure has run, the node lets go of its gradient, closure and
+        inputs, so afterwards only leaves hold gradients and a swept graph
+        cannot be backpropagated again.
+
+        Gradient ownership: every gradient buffer belongs to exactly one
+        tensor. :func:`_accumulate` copies a gradient it is handed unless its
+        caller has just created it, so no two tensors share one, and the
+        sweep hands each closure its node's own ``grad`` and drops it right
+        after. A closure may therefore overwrite the gradient it is handed
+        (an affine op's epilogue masks it in place), but must not keep it.
         """
-        ComputeGraph.trace(self).backward(self, seed)
+        nodes = ComputeGraph.trace(self)
+        if seed is None:
+            seed = np.ones_like(self.data)
+        _accumulate(self, np.asarray(seed, dtype=self.data.dtype))
+        while nodes:
+            # popped in reverse topological order: every consumer of this node
+            # has already run and released it, so once its own closure has run
+            # its activation, closure and gradient can be freed
+            node = nodes.pop()
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+            if node._parents:
+                node.grad = node._backward = None
+                node._parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, op={self.op!r})"
@@ -108,23 +124,13 @@ def as_tensor(value) -> Tensor:
 
 
 class ComputeGraph:
-    """Topologically ordered record of the ops behind one output tensor.
-
-    Invariants: the backward sweep visits each node exactly once, and a
-    tensor that does not feed the traced output keeps a zero (None) grad.
-    The sweep consumes the record: afterwards only leaves hold gradients, and
-    every op output has let go of its gradient, closure and inputs, so a
-    swept graph cannot be backpropagated again. Each closure is handed its
-    node's own gradient buffer, which no other tensor shares and which is
-    dropped once the closure returns, so the closure may work on it in
-    place.
-    """
-
-    def __init__(self, nodes):
-        self.nodes = nodes
+    """Holds :meth:`trace`, which :meth:`Tensor.backward` looks up by name at
+    call time, so a profiler can wrap the trace on its own."""
 
     @classmethod
-    def trace(cls, root: Tensor) -> "ComputeGraph":
+    def trace(cls, root: Tensor) -> list[Tensor]:
+        """Every tensor ``root`` depends on through recorded parents, each
+        after all of its inputs, ``root`` last."""
         order, seen, stack = [], set(), [(root, False)]
         while stack:
             node, expanded = stack.pop()
@@ -138,29 +144,7 @@ class ComputeGraph:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        return cls(order)
-
-    def backward(self, root: Tensor, seed=None):
-        if seed is None:
-            seed = np.ones_like(root.data)
-        _accumulate(root, np.asarray(seed, dtype=root.data.dtype))
-        nodes = self.nodes
-        while nodes:
-            # popped in reverse topological order: every consumer of this node
-            # has already run and released it, so once its own closure has run
-            # its activation, closure and gradient can be freed
-            node = nodes.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            if node._parents:
-                node.grad = node._backward = None
-                node._parents = ()
-
-
-def _needs_grad(t: Tensor) -> bool:
-    """Whether a gradient sent to ``t`` reaches a leaf: a closure may skip
-    forming an operand's gradient when it does not."""
-    return t.requires_grad or bool(t._parents)
+        return order
 
 
 def _accumulate(t: Tensor, g, fresh: bool = False):
@@ -169,7 +153,7 @@ def _accumulate(t: Tensor, g, fresh: bool = False):
     no other reference to it: then ``g`` itself becomes ``t.grad``. A closure
     that passes on its incoming gradient, or a view of it, leaves ``fresh``
     off, so no two tensors ever share a gradient buffer."""
-    if not _needs_grad(t):
+    if not t.requires_grad:
         return
     if t.grad is None:
         if fresh and isinstance(g, np.ndarray) and g.dtype == t.data.dtype:
@@ -181,12 +165,14 @@ def _accumulate(t: Tensor, g, fresh: bool = False):
 
 
 def _make(data, parents, op, backward):
-    out = Tensor(data, op=op, parents=tuple(parents))
-    if any(p.requires_grad or p._parents for p in parents):
-        out.requires_grad = any(p.requires_grad for p in parents)
+    """The output of one op. It joins the tape, recording its inputs and
+    its backward closure, exactly when some input requires a gradient; this
+    is the only place a tensor gets parents."""
+    out = Tensor(data, op=op)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
         out._backward = backward
-    else:
-        out._parents = ()
     return out
 
 
@@ -525,19 +511,19 @@ def _affine(x: Tensor, w: Tensor, bias: Tensor | None, k: int, cross, op: str, *
         out_data *= keep * c
 
     def backward(g):
-        # g is this node's own gradient (see ComputeGraph): mask it in place
+        # g is this node's own gradient (see Tensor.backward): mask it in place
         if c is not None:
             g *= keep
             g *= c
         if relu:
             g *= out_data > 0
-        if _needs_grad(x):
+        if x.requires_grad:
             _accumulate(x, _conv_input_grad(g, w2d, k, cross), fresh=True)
-        if _needs_grad(w):
+        if w.requires_grad:
             # the same rows in the same layout as slices of the whole matrix
             cols = functools.partial(_im2col, x.data, k, cross)
             _accumulate(w, _weight_grad(cols, g).reshape(w.shape), fresh=True)
-        if bias is not None and _needs_grad(bias):
+        if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=0), fresh=True)
 
     parents = (x, w) if bias is None else (x, w, bias)
@@ -778,12 +764,18 @@ _ADAM_BLOCK = 1 << 16
 
 
 class AdamState:
-    """First/second moment buffers plus the bias-correction step counter."""
+    """First/second moment buffers plus the bias-correction step counter:
+    zero moments for every tensor of ``params``, or the moments ``m`` and
+    ``v`` (given together) and the ``step`` a resumed run saved."""
 
-    def __init__(self, params: dict):
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.step = 0
+    def __init__(self, params: dict, *, m: dict | None = None, v: dict | None = None,
+                 step: int = 0):
+        if m is None:
+            # np.zeros takes zeroed pages from the allocator; zeros_like
+            # would write every zero
+            m = {name: np.zeros(p.shape, p.dtype) for name, p in params.items()}
+            v = {name: np.zeros(p.shape, p.dtype) for name, p in params.items()}
+        self.m, self.v, self.step = m, v, step
         self._work: dict = {}  # dtype -> two scratch blocks reused every step
 
     def _work_buffers(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

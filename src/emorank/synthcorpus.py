@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import atomic_write
 from .features import FeatureMatrix, write_features
 from .training import Corpus
 
@@ -158,7 +159,7 @@ def save_corpus(result: SynthResult, out_dir) -> list[str]:
         p = os.path.join(out_dir, u.source_id + ".emof")
         write_features(u, p)
         paths.append(p)
-    with open(os.path.join(out_dir, "metadata.csv"), "w", newline="") as fh:
+    with atomic_write(os.path.join(out_dir, "metadata.csv"), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METADATA_HEADER)
         for u in result.corpus:

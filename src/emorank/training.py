@@ -196,7 +196,7 @@ class TrainResult:
     adam: AdamState
 
 
-def pair_losses(params: ModelParams, pairs: list[MixPair], *, train: bool = True,
+def pair_losses(params: ModelParams, pairs: list[MixPair], *,
                 dropout_masks: list | None = None) -> tuple[Tensor, Tensor]:
     """The two terms of the objective, averaged over a batch of mixture pairs.
 
@@ -205,13 +205,13 @@ def pair_losses(params: ModelParams, pairs: list[MixPair], *, train: bool = True
     emotion). All mixtures run through the extractor as one packed batch in
     the order i_0, j_0, i_1, j_1, ...; a training pass takes its dropout
     masks from ``dropout_masks``, one ``draw_dropout_masks`` list per mixture
-    in that order.
+    in that order, and a pass without them runs in eval mode.
     """
     y_emo = np.array([params.class_index(p.emotion_label) for p in pairs])
     lambda_i = np.array([p.lambda_i for p in pairs])
     lambda_j = np.array([p.lambda_j for p in pairs])
     mixtures = [x for p in pairs for x in (p.x_mix_i, p.x_mix_j)]
-    i_seq = forward_intensity(params, mixtures, np.repeat(y_emo, 2), train=train,
+    i_seq = forward_intensity(params, mixtures, np.repeat(y_emo, 2),
                               dropout_masks=dropout_masks)
     h = pool(i_seq, [x.shape[0] for x in mixtures])
     logits, r = classify(params, h), project_score(params, h)
@@ -260,7 +260,7 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
     trace_rows: list[tuple] = []
 
     if resume_from is not None:
-        params, adam, meta, prev_trace = _read_checkpoint(resume_from)
+        params, adam, meta, prev_trace = load_checkpoint(resume_from)
         _check_resume(meta["train_config"], train_cfg, params.config, extractor_cfg,
                       resume_from)
         start_iter = int(meta["iteration"])
@@ -346,12 +346,9 @@ def save_checkpoint(params: ModelParams, adam: AdamState, iteration: int,
         w.finish()
 
 
-def load_checkpoint(path) -> tuple[ModelParams, AdamState, int, np.ndarray]:
-    params, adam, meta, trace = _read_checkpoint(path)
-    return params, adam, int(meta["iteration"]), trace
-
-
-def _read_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
+def load_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
+    """The parameters, Adam state, ``meta`` dict (iteration, Adam step,
+    train config) and loss trace saved by :func:`save_checkpoint`."""
     with open(path, "rb") as fh:
         params, _ = _read_model_section(fh)
         r = SectionReader(fh)
@@ -363,11 +360,9 @@ def _read_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
         table = read_tensor_table(r)
         r.finish()
     trace = table.pop("trace").reshape(-1, 4)
-    adam = AdamState(params.tensors)
-    adam.step = int(meta["adam_step"])
-    for name in params.tensors:
-        adam.m[name] = table["adam.m." + name]
-        adam.v[name] = table["adam.v." + name]
+    adam = AdamState(params.tensors, step=int(meta["adam_step"]),
+                     m={name: table["adam.m." + name] for name in params.tensors},
+                     v={name: table["adam.v." + name] for name in params.tensors})
     return params, adam, meta, trace
 
 

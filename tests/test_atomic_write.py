@@ -1,17 +1,21 @@
 """Artifact files are replaced in one step: a writer that fails part way
 leaves the previous file byte for byte and no temporary file behind."""
 
+import ast
 import dataclasses
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emorank import cli, training
+import emorank
+from emorank import cli, synthcorpus, training
 from emorank.binio import SectionWriter, atomic_write
 from emorank.cli import main, write_provenance
-from emorank.codebook import IntensityCodebook, save_codebook
+from emorank.codebook import (IntensityCodebook, PhonemeAlignment, PhonemeInterval,
+                              save_codebook, write_alignment)
 from emorank.evalmetrics import MetricReport
 from emorank.extractor import ExtractorConfig, init_params, save_model
 from emorank.features import write_emof
@@ -127,6 +131,39 @@ def _trace_csv(path, fail, monkeypatch):
     write_trace_csv(trace, path)
 
 
+class UnprintableFloat(float):
+    def __repr__(self):
+        raise Boom
+
+
+def _alignment(path, fail, monkeypatch):
+    # the second interval fails, after the header and the first line are written
+    end = UnprintableFloat(0.25) if fail else 0.25
+    write_alignment(PhonemeAlignment([PhonemeInterval("a", 0.0, 0.125),
+                                      PhonemeInterval("b", 0.125, end)]), path)
+
+
+class FirstOnly(dict):
+    """A map that raises for every key it does not hold."""
+
+    def __missing__(self, key):
+        raise Boom
+
+
+def _metadata(path, fail, monkeypatch):
+    # the .emof files have their own case: only metadata.csv is written here
+    monkeypatch.setattr(synthcorpus, "write_features", lambda u, p: None)
+    spec = synthcorpus.SynthSpec(n_speakers=1, n_emotions=1, utterances_per_cell=9,
+                                 frame_length_range=(2, 3))
+    result = synthcorpus.generate(spec, np.random.default_rng(0))
+    if fail:
+        # the second row fails, after the header and the first row are written
+        first = result.corpus.utterances[0].source_id
+        result = dataclasses.replace(
+            result, true_intensity=FirstOnly({first: result.true_intensity[first]}))
+    synthcorpus.save_corpus(result, path.parent)
+
+
 @pytest.mark.parametrize("name, write", [
     ("m.emom", _model),
     ("c.emom", _checkpoint),
@@ -135,6 +172,8 @@ def _trace_csv(path, fail, monkeypatch):
     ("u.emof", _emof),
     ("loss.csv", _trace_csv),
     ("mcd.json", _mcd),
+    ("alignment.tsv", _alignment),
+    ("metadata.csv", _metadata),
 ])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, write):
     path = tmp_path / name
@@ -169,3 +208,53 @@ def test_failed_score_csv_keeps_previous_file(tmp_path, monkeypatch):
         main(argv)
     assert path.read_bytes() == before
     assert sorted(os.listdir(out)) == names
+
+
+def _in_place_writes(source: str) -> list[int]:
+    """Lines of ``open`` calls whose mode may write, append or create, and
+    of ``write_text``/``write_bytes`` calls, outside a ``def atomic_write``.
+    A mode that is not a string literal counts as writing."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "atomic_write"
+              for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_write_scanner_flags_every_writing_open():
+    source = """
+open(p)
+open(p, "rb")
+open(p, mode="r", newline="")
+open(p, "w")
+open(p, mode="ab")
+open(p, "r+b")
+open(p, m)
+Path(p).write_text("x")
+def atomic_write(path, mode):
+    open(path, mode.replace("w", "x"))
+"""
+    assert _in_place_writes(source) == [5, 6, 7, 8, 9]
+
+
+def test_the_package_writes_files_only_through_atomic_write():
+    src = Path(emorank.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _in_place_writes(path.read_text(encoding="utf-8"))]
+    assert found == []

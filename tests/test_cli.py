@@ -14,7 +14,7 @@ import scipy.io.wavfile
 
 from emorank.cli import main
 from emorank.codebook import load_codebook
-from emorank.extractor import load_model, load_model_with_meta, params_digest
+from emorank.extractor import load_model, params_digest
 from emorank.features import read_emof, read_features, write_emof
 from emorank.runconfig import RunConfig, SEED_ENV_VAR
 from emorank.training import corpus_digest, load_corpus, read_trace_csv
@@ -76,7 +76,7 @@ def test_synthdata_artifacts(pipeline):
 
 
 def test_train_artifacts(pipeline):
-    params, meta = load_model_with_meta(pipeline["model"])
+    params, meta = load_model(pipeline["model"])
     assert params.config.hidden_dim == 8
     assert len(params.emotions) == 3 and "neutral" in params.emotions
     assert meta["iterations"] == 30 and meta["seed"] == 3

@@ -8,8 +8,8 @@ from emorank.binio import ChecksumError, FileFormatError
 from emorank.extractor import (ExtractorConfig, ModelParams, _expected_shapes,
                                _position_table, classify, draw_dropout_masks,
                                forward_intensity, init_params, load_model,
-                               load_model_with_meta, params_digest, pool,
-                               positional_encoding, project_score, save_model)
+                               params_digest, pool, positional_encoding,
+                               project_score, save_model)
 from emorank.numerics import Tensor
 
 CFG = ExtractorConfig(input_dim=10, hidden_dim=8, n_fft_blocks=1, n_heads=2,
@@ -135,15 +135,18 @@ def test_eval_forward_deterministic_bitwise():
     assert a.tobytes() == b.tobytes()
 
 
-def test_train_mode_requires_rng_and_applies_dropout():
+def test_masked_forward_applies_dropout_and_checks_the_mask_count():
     params = make_params()
     x = frames()
-    with pytest.raises(ValueError):
-        forward_intensity(params, x, 1, train=True)
+    masks = draw_dropout_masks(params.config, len(x), np.random.default_rng(0))
+    # one list of 3 * n_fft_blocks masks per segment, and nothing else
+    for wrong in ([], [masks[:-1]], [masks + masks[:1]], [masks, masks], [[]]):
+        with pytest.raises(ValueError):
+            forward_intensity(params, x, 1, dropout_masks=wrong)
 
     def train_forward(seed):
         masks = draw_dropout_masks(params.config, len(x), np.random.default_rng(seed))
-        return forward_intensity(params, x, 1, train=True, dropout_masks=[masks]).data
+        return forward_intensity(params, x, 1, dropout_masks=[masks]).data
 
     eval_out = forward_intensity(params, x, 1).data
     train_out = train_forward(0)
@@ -159,8 +162,13 @@ def test_zero_dropout_train_equals_eval():
     params = init_params(cfg, EMOTIONS, np.random.default_rng(0))
     x = frames()
     a = forward_intensity(params, x, 1).data
-    b = forward_intensity(params, x, 1, train=True).data
+    masks = draw_dropout_masks(cfg, len(x), np.random.default_rng(0))
+    assert masks == []
+    b = forward_intensity(params, x, 1, dropout_masks=[masks]).data
     assert a.tobytes() == b.tobytes()
+    # at dropout 0 a training forward takes no masks
+    with pytest.raises(ValueError):
+        forward_intensity(params, x, 1, dropout_masks=[[np.ones((len(x), 8), bool)]])
 
 
 def test_frame_order_matters():
@@ -241,8 +249,9 @@ def test_model_round_trip_bitwise(tmp_path):
     params.feat_std = np.full(10, 2.0, dtype=np.float32)
     path = tmp_path / "model.emom"
     save_model(params, path, meta={"note": "unit", "iterations": 5})
-    loaded, cfg = load_model(path)
-    assert cfg == CFG
+    loaded, meta = load_model(path)
+    assert loaded.config == CFG
+    assert meta == {"note": "unit", "iterations": 5}
     assert loaded.emotions == EMOTIONS
     for name, t in params.tensors.items():
         assert loaded[name].data.tobytes() == t.data.tobytes(), name
@@ -250,8 +259,6 @@ def test_model_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(loaded.feat_mean, params.feat_mean)
     np.testing.assert_array_equal(loaded.feat_std, params.feat_std)
     assert params_digest(loaded) == params_digest(params)
-    _, meta = load_model_with_meta(path)
-    assert meta == {"note": "unit", "iterations": 5}
 
 
 def test_save_is_deterministic(tmp_path):

@@ -25,6 +25,7 @@ import pytest
 
 from emorank import numerics as nm
 from emorank import training
+from emorank.codebook import score_corpus
 from emorank.extractor import (ExtractorConfig, classify, draw_dropout_masks,
                                forward_intensity, init_params, pool,
                                positional_encoding, project_score)
@@ -170,7 +171,7 @@ def _intact_backward(root):
     """The backward sweep that leaves every node's grad, closure and inputs
     in place."""
     nm._accumulate(root, np.ones_like(root.data))
-    for node in reversed(ComputeGraph.trace(root).nodes):
+    for node in reversed(ComputeGraph.trace(root)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
@@ -259,14 +260,14 @@ def test_presampled_masks_equal_masks_drawn_by_the_forward():
     for segment in masks:
         for m in segment:
             np.testing.assert_array_equal(nm.dropout_masks([m.shape], cfg.dropout, rng)[0], m)
-    given = forward_intensity(params, xs, [1, 1], train=True, dropout_masks=masks).data
+    given = forward_intensity(params, xs, [1, 1], dropout_masks=masks).data
     lo = 0
     for x, segment in zip(xs, masks):
-        alone = forward_intensity(params, x, 1, train=True, dropout_masks=[segment]).data
+        alone = forward_intensity(params, x, 1, dropout_masks=[segment]).data
         np.testing.assert_allclose(given[lo:lo + len(x)], alone, rtol=0, atol=1e-12)
         lo += len(x)
     with pytest.raises(ValueError):
-        forward_intensity(params, xs, [1, 1], train=True, dropout_masks=masks[:1])
+        forward_intensity(params, xs, [1, 1], dropout_masks=masks[:1])
 
 
 def test_forward_rejects_mismatched_segment_classes():
@@ -500,7 +501,7 @@ def _held_arrays(root):
     """Every distinct array a graph holds: its nodes' values and whatever
     their backward closures captured, directly or in a list or tuple."""
     held = {}
-    for node in ComputeGraph.trace(root).nodes:
+    for node in ComputeGraph.trace(root):
         for obj in [node.data] + _captured(node._backward):
             for a in obj if isinstance(obj, (list, tuple)) else (obj,):
                 if isinstance(a, np.ndarray):
@@ -536,7 +537,7 @@ def test_gradient_buffers_are_never_shared_and_equal_copied_stores(monkeypatch, 
     copied = grads_of(params, _packed_total_loss(params, corpus))
 
     root = _packed_total_loss(params, corpus)
-    tensors, stores = ComputeGraph.trace(root).nodes, []
+    tensors, stores = ComputeGraph.trace(root), []
 
     def checking_accumulate(t, g, fresh=False):
         accumulate(t, g, fresh)
@@ -565,7 +566,7 @@ def test_backward_releases_the_tape_and_keeps_the_leaf_grads(dtype):
     ref = grads_of(params, _packed_total_loss(params, corpus), _intact_backward)
 
     root = _packed_total_loss(params, corpus)
-    ops = [node for node in ComputeGraph.trace(root).nodes if node._parents]
+    ops = [node for node in ComputeGraph.trace(root) if node._parents]
     # 47 ops, every kind a training step records among them
     assert len(ops) > 40
     assert {node.op for node in ops} >= {"matmul", "attention", "conv1d",
@@ -598,7 +599,7 @@ def test_constant_matmul_inputs_get_no_gradient(monkeypatch):
     matmul, accumulate = nm.matmul, nm._accumulate
 
     def recording_matmul(a, b, bias=None, **epilogue):
-        if not (a.requires_grad or a._parents):
+        if not a.requires_grad:
             constants.append(a)
         return matmul(a, b, bias, **epilogue)
 
@@ -667,6 +668,40 @@ def test_backward_returns_memory_to_the_pre_forward_level():
 # the tape stays small
 
 
+def test_a_tensor_joins_the_tape_exactly_when_it_needs_a_gradient(monkeypatch):
+    data = generate(SynthSpec(n_speakers=2, n_emotions=3, utterances_per_cell=9),
+                    np.random.default_rng(100))
+    ecfg = ExtractorConfig(input_dim=82, hidden_dim=32, n_fft_blocks=2, n_heads=2,
+                           conv_kernel=9, conv_filter_dim=64, dropout=0.1,
+                           n_emotion_classes=4, projector_hidden=32)
+    made, tapes = [], []
+    init, backward = nm.Tensor.__init__, nm.Tensor.backward
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    def checking_backward(self, seed=None):
+        # before the sweep releases anything
+        for t in made:
+            assert bool(t._parents) == (t._backward is not None), t.op
+            if t.op != "leaf":
+                assert bool(t._parents) == t.requires_grad, t.op
+        tapes.append(sum(bool(t._parents) for t in made))
+        made.clear()
+        backward(self, seed)
+
+    monkeypatch.setattr(nm.Tensor, "__init__", recording_init)
+    monkeypatch.setattr(nm.Tensor, "backward", checking_backward)
+    result = training.train_rank_model(data.corpus, ecfg, TrainConfig(
+        iterations=1, batch_pairs=8, seed=0))
+    assert len(tapes) == 1 and tapes[0] > 40
+    made.clear()
+    records = score_corpus(result.params, data.corpus)
+    assert records and len(made) > 40
+    assert not any(t._parents or t._backward is not None or t.requires_grad for t in made)
+
+
 def test_one_packed_forward_and_a_small_tape_per_iteration(monkeypatch):
     data = generate(SynthSpec(n_speakers=2, n_emotions=3, utterances_per_cell=30),
                     np.random.default_rng(100))
@@ -682,7 +717,7 @@ def test_one_packed_forward_and_a_small_tape_per_iteration(monkeypatch):
 
     def tape_size(l_mix, l_rank, weights):
         out = real_total(l_mix, l_rank, weights)
-        tapes.append(len(ComputeGraph.trace(out).nodes))
+        tapes.append(len(ComputeGraph.trace(out)))
         return out
 
     monkeypatch.setattr(training, "forward_intensity", counting_forward)

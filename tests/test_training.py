@@ -266,8 +266,8 @@ def test_checkpoint_appendix_round_trip(tmp_path):
                                           checkpoint_every=5),
                               checkpoint_dir=tmp_path)
     path = tmp_path / "ckpt_0000005.emom"
-    params, adam, iteration, trace = load_checkpoint(path)
-    assert iteration == 5
+    params, adam, meta, trace = load_checkpoint(path)
+    assert meta["iteration"] == 5
     assert adam.step == 5
     assert trace.shape == (5, 4)
     for name, m in adam.m.items():
