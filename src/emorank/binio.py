@@ -11,6 +11,7 @@ that fails part way leaves the previous file as it was.
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 import secrets
 import struct
@@ -49,6 +50,27 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def read_csv(path, header: list[str], parse) -> list:
+    """``parse(row)`` for each non-blank row of a CSV file whose first row
+    starts with ``header``, the row cut to the header's width. A missing
+    header, a row narrower than it, or one that ``parse`` rejects with
+    ``ValueError``, raises :class:`FileFormatError` naming ``path:line``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, [])
+        if got[:len(header)] != header:
+            raise FileFormatError(f"{path}:1: expected header {','.join(header)}; got {got}")
+        out = []
+        for row in filter(None, reader):
+            try:
+                if len(row) < len(header):
+                    raise ValueError(f"expected {len(header)} fields")
+                out.append(parse(row[:len(header)]))
+            except ValueError as e:
+                raise FileFormatError(f"{path}:{reader.line_num}: {e}; got {row}") from e
+    return out
 
 
 class SectionWriter:

@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -29,12 +30,11 @@ import numpy as np
 
 from . import __version__
 from . import numerics as nm
-from .binio import FileFormatError, atomic_write
-from .codebook import (BIN_POLICIES, LEVEL_SOURCES, build_codebook, codebook_provenance,
-                       condition, load_codebook, read_alignment, read_phoneme_labels,
-                       save_codebook, score_corpus)
-from .extractor import (ExtractorConfig, init_params, load_model, params_digest,
-                        save_model)
+from .binio import FileFormatError, atomic_write, read_csv
+from .codebook import (BIN_POLICIES, LEVEL_SOURCES, build_codebook, condition,
+                       load_codebook, read_alignment, read_phoneme_labels, save_codebook,
+                       score_corpus)
+from .extractor import ExtractorConfig, init_params, load_model, save_model
 from .features import (featurize_audio, load_pitch_csv, load_wav, read_emof,
                        read_features, write_emof, write_features)
 from .losses import LossWeights, total_loss
@@ -66,20 +66,18 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_provenance(artifact_path, command: str, cfg: RunConfig, seed,
-                     inputs: dict, extra: dict | None = None):
-    """JSON sidecar recording exactly what produced an artifact."""
-    doc = {
-        "tool": f"emorank {__version__}",
-        "command": command,
-        "config_hash": cfg.config_hash(),
-        "seed": seed,
-        "inputs": inputs,
-    }
-    if extra:
-        doc.update(extra)
+def provenance(command: str, cfg: RunConfig, seed: int, inputs: dict, **extra) -> dict:
+    """The record of exactly what produced an artifact. Inputs are named by
+    content: a file by :func:`sha256_file`, a features directory by
+    :func:`corpus_digest`; only ``featurize``'s WAV directory is a path."""
+    return {"tool": f"emorank {__version__}", "command": command,
+            "config_hash": cfg.config_hash(), "seed": seed, "inputs": inputs, **extra}
+
+
+def write_provenance(artifact_path, record: dict):
+    """Write a :func:`provenance` record as the JSON sidecar of an artifact."""
     with atomic_write(str(artifact_path) + ".provenance.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -94,24 +92,10 @@ def _corpus_from_path(features) -> Corpus:
 # featurize
 
 
-def cmd_featurize(args) -> int:
-    cfg = RunConfig.load(args.config)
+def cmd_featurize(args, cfg: RunConfig, seed: int) -> int:
     fcfg = cfg.feature_config()
-    labels = {}
-    with open(args.labels, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:3] != ["filename", "speaker", "emotion"]:
-            raise FileFormatError(f"{args.labels}:1: labels CSV must start with header "
-                                  f"filename,speaker,emotion; got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 3:
-                raise FileFormatError(f"{args.labels}:{reader.line_num}: expected "
-                                      f"filename,speaker,emotion; got {row}")
-            labels[row[0]] = (row[1], row[2])
-
+    labels = {name: (speaker, emotion) for name, speaker, emotion
+              in read_csv(args.labels, ["filename", "speaker", "emotion"], tuple)}
     wavs = sorted(p for p in os.listdir(args.wav_dir) if p.lower().endswith(".wav"))
     if not wavs:
         raise FileNotFoundError(f"no .wav files in {args.wav_dir}")
@@ -148,11 +132,10 @@ def cmd_featurize(args) -> int:
     print(f"{ok} ok, {len(failed)} failed")
     for name, reason in failed:
         print(f"failed: {name}: {reason}", file=sys.stderr)
-    write_provenance(os.path.join(args.out_dir, "featurize"), "featurize", cfg,
-                     cfg.resolve_seed(args.seed),
-                     {"wav_dir": os.path.abspath(args.wav_dir),
-                      "labels": sha256_file(args.labels)},
-                     {"ok": ok, "failed": [n for n, _ in failed]})
+    write_provenance(os.path.join(args.out_dir, "featurize"), provenance(
+        "featurize", cfg, seed,
+        {"wav_dir": os.path.abspath(args.wav_dir), "labels": sha256_file(args.labels)},
+        ok=ok, failed=[n for n, _ in failed]))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -160,18 +143,16 @@ def cmd_featurize(args) -> int:
 # synthdata
 
 
-def cmd_synthdata(args) -> int:
-    cfg = RunConfig.load(args.config)
-    seed = cfg.resolve_seed(args.seed)
+def cmd_synthdata(args, cfg: RunConfig, seed: int) -> int:
     spec = cfg.synth_spec()
     result = generate(spec, np.random.default_rng(seed))
     paths = save_corpus(result, args.out_dir)
     print(f"wrote {len(paths)} utterances "
           f"({spec.n_speakers} speakers x {1 + spec.n_emotions} classes "
           f"x {spec.utterances_per_cell}) to {args.out_dir}")
-    write_provenance(os.path.join(args.out_dir, "corpus"), "synthdata", cfg, seed,
-                     {"spec": spec_digest(spec)},
-                     {"corpus_hash": corpus_digest(result.corpus)})
+    write_provenance(os.path.join(args.out_dir, "corpus"), provenance(
+        "synthdata", cfg, seed, {"spec": spec_digest(spec)},
+        corpus_hash=corpus_digest(result.corpus)))
     return EXIT_OK
 
 
@@ -179,9 +160,7 @@ def cmd_synthdata(args) -> int:
 # train
 
 
-def cmd_train(args) -> int:
-    cfg = RunConfig.load(args.config)
-    seed = cfg.resolve_seed(args.seed)
+def cmd_train(args, cfg: RunConfig, seed: int) -> int:
     corpus = load_corpus(args.features_dir)
     # replace() re-runs TrainConfig's validation on the flag overrides
     overrides = {"iterations": args.iterations, "learning_rate": args.learning_rate,
@@ -205,10 +184,11 @@ def cmd_train(args) -> int:
     print(f"trained {tcfg.iterations} iterations; "
           f"final l_total={result.trace[-1, 3]:.6f}; "
           f"model -> {args.out}; loss trace -> {loss_csv}")
-    write_provenance(args.out, "train", cfg, seed,
-                     {"corpus_hash": corpus_digest(corpus),
-                      "resume_from": args.resume},
-                     {"model_hash": params_digest(result.params)})
+    write_provenance(args.out, provenance(
+        "train", cfg, seed,
+        {"corpus_hash": corpus_digest(corpus),
+         "resume_from": sha256_file(args.resume) if args.resume else None},
+        model_hash=sha256_file(args.out)))
     return EXIT_OK
 
 
@@ -216,8 +196,7 @@ def cmd_train(args) -> int:
 # score
 
 
-def cmd_score(args) -> int:
-    cfg = RunConfig.load(args.config)
+def cmd_score(args, cfg: RunConfig, seed: int) -> int:
     params, _ = load_model(args.model)
     corpus = _corpus_from_path(args.features)
     records = score_corpus(params, corpus)
@@ -227,10 +206,10 @@ def cmd_score(args) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["utterance_id", "emotion", "score"])
             writer.writerows(rows)
-        write_provenance(args.out, "score", cfg, cfg.resolve_seed(args.seed),
-                         {"model": sha256_file(args.model),
-                          "corpus_hash": corpus_digest(corpus)},
-                         {"n_records": len(records)})
+        write_provenance(args.out, provenance(
+            "score", cfg, seed,
+            {"model": sha256_file(args.model), "corpus_hash": corpus_digest(corpus)},
+            n_records=len(records)))
         print(f"wrote {len(records)} scores to {args.out}")
     else:
         print("utterance_id,emotion,score")
@@ -243,21 +222,19 @@ def cmd_score(args) -> int:
 # codebook
 
 
-def cmd_codebook(args) -> int:
-    cfg = RunConfig.load(args.config)
+def cmd_codebook(args, cfg: RunConfig, seed: int) -> int:
     cb_cfg = cfg.doc["codebook"]
     params, _ = load_model(args.model)
     # only non-neutral utterances are scored, so neutral ones are optional
     corpus = load_corpus(args.features_dir, require_roles=False)
     records = score_corpus(params, corpus)
-    prov = codebook_provenance(params, corpus,
-                               config_hash=cfg.config_hash(),
-                               seed=cfg.resolve_seed(args.seed))
     cb = build_codebook(records,
                         n_bins=args.bins if args.bins is not None else cb_cfg["n_bins"],
                         policy=args.policy or cb_cfg["policy"],
                         level_source=args.level_source or cb_cfg["level_source"],
-                        provenance=prov)
+                        provenance=provenance("codebook", cfg, seed,
+                                              {"model": sha256_file(args.model),
+                                               "corpus_hash": corpus_digest(corpus)}))
     save_codebook(cb, args.out)
     print(f"codebook for {sorted(cb.emotions)} "
           f"({cb.provenance['n_bins']} bins, {cb.provenance['bin_policy']}) "
@@ -269,8 +246,7 @@ def cmd_codebook(args) -> int:
 # condition
 
 
-def cmd_condition(args) -> int:
-    cfg = RunConfig.load(args.config)
+def cmd_condition(args, cfg: RunConfig, seed: int) -> int:
     cb = load_codebook(args.codebook)
     labels = read_phoneme_labels(args.labels)
     extra = {"n_phonemes": len(labels)}
@@ -288,12 +264,11 @@ def cmd_condition(args) -> int:
                source_id=stem)
     print(f"wrote {matrix.shape[0]} x {matrix.shape[1]} conditioning matrix "
           f"to {args.out}")
-    write_provenance(args.out, "condition", cfg, cfg.resolve_seed(args.seed),
-                     {"codebook": sha256_file(args.codebook),
-                      "labels": sha256_file(args.labels),
-                      "alignment": sha256_file(args.alignment)
-                      if args.alignment else None},
-                     extra)
+    write_provenance(args.out, provenance(
+        "condition", cfg, seed,
+        {"codebook": sha256_file(args.codebook), "labels": sha256_file(args.labels),
+         "alignment": sha256_file(args.alignment) if args.alignment else None},
+        **extra))
     return EXIT_OK
 
 
@@ -301,7 +276,7 @@ def cmd_condition(args) -> int:
 # mcd
 
 
-def cmd_mcd(args) -> int:
+def cmd_mcd(args, cfg: RunConfig, seed: int) -> int:
     frames_a, _, _, _, source_a = read_emof(args.seq_a)
     frames_b, _, _, _, source_b = read_emof(args.seq_b)
     if frames_a.shape != frames_b.shape:
@@ -316,10 +291,9 @@ def cmd_mcd(args) -> int:
     if args.out:
         with atomic_write(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
-        cfg = RunConfig.load(args.config)
-        write_provenance(args.out, "mcd", cfg, cfg.resolve_seed(args.seed),
-                         {"seq_a": sha256_file(args.seq_a),
-                          "seq_b": sha256_file(args.seq_b)})
+        write_provenance(args.out, provenance(
+            "mcd", cfg, seed,
+            {"seq_a": sha256_file(args.seq_a), "seq_b": sha256_file(args.seq_b)}))
     return EXIT_OK
 
 
@@ -368,9 +342,7 @@ def run_gradcheck(gc: dict, seed: int) -> tuple[dict, bool]:
     return errors, all(e < gc["tolerance"] for e in errors.values())
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = RunConfig.load(args.config)
-    seed = cfg.resolve_seed(args.seed)
+def cmd_gradcheck(args, cfg: RunConfig, seed: int) -> int:
     gc = cfg.doc["gradcheck"]
     errors, ok = run_gradcheck(gc, seed)
     width = max(len(n) for n in errors)
@@ -453,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("mcd", "mel-cepstral distortion between two aligned feature files")
     p.add_argument("seq_a")
     p.add_argument("seq_b")
-    p.add_argument("--order", type=int, default=13)
+    p.add_argument("--order", type=int,
+                   default=inspect.signature(mel_cepstra).parameters["order"].default)
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=cmd_mcd)
 
@@ -466,7 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every command gets its config and seed from here, so a bad config
+        # file or EMORANK_SEED fails before anything is written
+        cfg = RunConfig.load(args.config)
+        return args.func(args, cfg, cfg.resolve_seed(args.seed))
     except FileNotFoundError as e:
         print(f"error: missing input: {e}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import is_neutral
 from .binio import FileFormatError, atomic_write
-from .extractor import (ModelParams, classify, forward_intensity, params_digest,
-                        pool, project_score)
+from .extractor import ModelParams, classify, forward_intensity, pool, project_score
 from .numerics import Tensor
-from .training import Corpus, corpus_digest
+from .training import Corpus
 
 LEVEL_NAMES_3 = ("Min", "Median", "Max")
 # build_codebook's bin rules and the vectors a level averages
@@ -240,17 +239,9 @@ def build_codebook(records: list[ScoreRecord], n_bins: int = 3, *,
                           f"{ordered} are not strictly increasing", stacklevel=2)
         entries[emotion] = EmotionEntry(boundaries, levels, mean_scores)
 
-    prov = dict(provenance or {})
-    prov.setdefault("bin_policy", policy)
-    prov.setdefault("level_source", level_source)
-    prov.setdefault("n_bins", n_bins)
+    prov = {**(provenance or {}), "bin_policy": policy, "level_source": level_source,
+            "n_bins": n_bins}
     return IntensityCodebook(entries, hidden, prov)
-
-
-def codebook_provenance(params: ModelParams, corpus: Corpus, **extra) -> dict:
-    prov = {"model_hash": params_digest(params), "corpus_hash": corpus_digest(corpus)}
-    prov.update(extra)
-    return prov
 
 
 # ---------------------------------------------------------------------------

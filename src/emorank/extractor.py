@@ -397,7 +397,10 @@ def _read_model_section(fh) -> tuple[ModelParams, dict]:
     table = read_tensor_table(r)
     r.finish()
 
-    cfg = ExtractorConfig(**blob["config"])
+    try:
+        cfg = ExtractorConfig(**blob["config"])
+    except (KeyError, TypeError, ValueError) as e:  # missing, unknown key, bad value
+        raise FileFormatError(f"model header has no valid extractor config: {e!r}") from e
     feat_mean = table.pop("feat.mean", None)
     feat_std = table.pop("feat.std", None)
     expected = _expected_shapes(cfg)
@@ -422,17 +425,3 @@ def load_model(path) -> tuple[ModelParams, dict]:
     with open(path, "rb") as fh:
         return _read_model_section(fh)
 
-
-def params_digest(params: ModelParams) -> str:
-    """Stable hex digest of the parameter values, for provenance stamps."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for name in sorted(params.tensors):
-        h.update(name.encode("utf-8"))
-        h.update(np.ascontiguousarray(params.tensors[name].data).tobytes())
-    for arr in (params.feat_mean, params.feat_std):
-        if arr is not None:
-            h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(",".join(params.emotions).encode("utf-8"))
-    return h.hexdigest()

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import atomic_write
-from .features import FeatureMatrix, write_features
+from .binio import atomic_write, read_csv
+from .features import FeatureConfig, FeatureMatrix, write_features
 from .training import Corpus
 
 EMOTION_NAMES = ["angry", "amused", "sleepy", "disgusted", "excited", "fearful"]
 
-_N_CHANNELS = 82
+# utterances have the layout and frame rate that featurize gives by default
+_FEATURES = FeatureConfig()
+_N_CHANNELS = _FEATURES.n_channels
 _PITCH_COL = _N_CHANNELS - 2
 _SIGNATURE_SUPPORT = 12  # channels per class signature
 
@@ -142,7 +144,7 @@ def generate(spec: SynthSpec, rng: np.random.Generator) -> SynthResult:
                     t = float(rng.uniform(t_lo, t_hi))
                     frames = _utterance(spec, bases[speaker], sigs[label], t, rng)
                 utterances.append(FeatureMatrix(
-                    frames=frames, frame_rate_hz=40.0, source_id=uid,
+                    frames=frames, frame_rate_hz=_FEATURES.frame_rate_hz, source_id=uid,
                     emotion_label=label, speaker_id=speaker))
                 truths[uid] = t
     return SynthResult(Corpus(utterances), truths, spec)
@@ -169,13 +171,9 @@ def save_corpus(result: SynthResult, out_dir) -> list[str]:
 
 
 def load_metadata(path) -> dict[str, float]:
-    """Read metadata.csv back into the utterance_id -> true intensity map."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != METADATA_HEADER:
-            raise ValueError(f"unexpected metadata header {header}")
-        return {row[0]: float(row[3]) for row in reader}
+    """Read metadata.csv back into the utterance_id -> true intensity map;
+    a malformed file raises :class:`FileFormatError`."""
+    return dict(read_csv(path, METADATA_HEADER, lambda row: (row[0], float(row[3]))))
 
 
 def spec_digest(spec: SynthSpec) -> str:

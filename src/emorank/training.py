@@ -11,6 +11,7 @@ run.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import is_neutral
 from . import numerics as nm
-from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write
+from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write, read_csv
 from .extractor import (ExtractorConfig, ModelParams, _read_model_section,
                         _write_model_section, classify, draw_dropout_masks,
                         forward_intensity, init_params, pool, project_score,
@@ -130,8 +131,6 @@ def load_corpus(features_dir, *, require_roles: bool = True) -> Corpus:
 
 def corpus_digest(corpus: Corpus) -> str:
     """Stable hex digest of corpus content, for provenance stamps."""
-    import hashlib
-
     h = hashlib.sha256()
     for u in corpus:
         h.update(u.source_id.encode("utf-8"))
@@ -348,7 +347,9 @@ def save_checkpoint(params: ModelParams, adam: AdamState, iteration: int,
 
 def load_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
     """The parameters, Adam state, ``meta`` dict (iteration, Adam step,
-    train config) and loss trace saved by :func:`save_checkpoint`."""
+    train config) and loss trace saved by :func:`save_checkpoint`. A missing
+    Adam moment table, or one not of its parameter's shape, raises
+    :class:`FileFormatError`."""
     with open(path, "rb") as fh:
         params, _ = _read_model_section(fh)
         r = SectionReader(fh)
@@ -360,6 +361,13 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
         table = read_tensor_table(r)
         r.finish()
     trace = table.pop("trace").reshape(-1, 4)
+    shapes = {f"adam.{kind}.{name}": t.data.shape
+              for kind in "mv" for name, t in params.tensors.items()}
+    wrong = [f"{key} {table[key].shape if key in table else 'missing'}, expected {shape}"
+             for key, shape in shapes.items() if key not in table or table[key].shape != shape]
+    if wrong:
+        raise FileFormatError(f"checkpoint {os.fspath(path)} has bad Adam moment tables: "
+                              + "; ".join(wrong))
     adam = AdamState(params.tensors, step=int(meta["adam_step"]),
                      m={name: table["adam.m." + name] for name in params.tensors},
                      v={name: table["adam.v." + name] for name in params.tensors})
@@ -402,10 +410,7 @@ def write_trace_csv(trace: np.ndarray, path):
 
 
 def read_trace_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_HEADER:
-            raise FileFormatError(f"unexpected trace header {header}")
-        rows = [[float(c) for c in row] for row in reader]
+    """Read a loss trace written by :func:`write_trace_csv`; a malformed
+    file raises :class:`FileFormatError`."""
+    rows = read_csv(path, TRACE_HEADER, lambda row: [float(c) for c in row])
     return np.asarray(rows, dtype=np.float64).reshape(-1, 4)

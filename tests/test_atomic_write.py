@@ -13,7 +13,7 @@ import pytest
 import emorank
 from emorank import cli, synthcorpus, training
 from emorank.binio import SectionWriter, atomic_write
-from emorank.cli import main, write_provenance
+from emorank.cli import main, provenance, write_provenance
 from emorank.codebook import (IntensityCodebook, PhonemeAlignment, PhonemeInterval,
                               save_codebook, write_alignment)
 from emorank.evalmetrics import MetricReport
@@ -89,8 +89,8 @@ def _codebook(path, fail, monkeypatch):
 
 def _provenance(path, fail, monkeypatch):
     extra = {"zz": object()} if fail else {"note": "ok"}
-    write_provenance(str(path)[:-len(".provenance.json")], "train", RunConfig(), 0,
-                     {"corpus": "c"}, extra)
+    write_provenance(str(path)[:-len(".provenance.json")],
+                     provenance("train", RunConfig(), 0, {"corpus": "c"}, **extra))
 
 
 def _emof(path, fail, monkeypatch):

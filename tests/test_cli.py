@@ -1,12 +1,15 @@
 """End-to-end command line coverage: the full pipeline inside a temp dir,
 exit-code mapping, provenance sidecars, and seed resolution."""
 
+import hashlib
 import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -14,10 +17,12 @@ import scipy.io.wavfile
 
 from emorank.cli import main
 from emorank.codebook import load_codebook
-from emorank.extractor import load_model, params_digest
+from emorank.extractor import load_model
 from emorank.features import read_emof, read_features, write_emof
 from emorank.runconfig import RunConfig, SEED_ENV_VAR
-from emorank.training import corpus_digest, load_corpus, read_trace_csv
+from emorank.training import (TrainConfig, corpus_digest, load_checkpoint, load_corpus,
+                              read_trace_csv, save_checkpoint)
+from params_oracle import params_digest
 
 # small enough that synthdata + train stay in the low seconds
 CFG_DOC = {
@@ -37,6 +42,11 @@ HEX64 = set("0123456789abcdef")
 
 def is_hex64(s) -> bool:
     return isinstance(s, str) and len(s) == 64 and set(s) <= HEX64
+
+
+def file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def read_provenance(artifact) -> dict:
@@ -84,7 +94,7 @@ def test_train_artifacts(pipeline):
     assert trace.shape == (30, 4)
     prov = read_provenance(pipeline["model"])
     assert prov["command"] == "train"
-    assert prov["model_hash"] == params_digest(params)
+    assert prov["model_hash"] == file_sha256(pipeline["model"])
     assert prov["inputs"]["corpus_hash"] == corpus_digest(load_corpus(pipeline["corpus"]))
     assert prov["inputs"]["resume_from"] is None
 
@@ -106,6 +116,32 @@ def test_train_flag_overrides_and_resume(pipeline, tmp_path):
     assert rc == 0
     # resuming from iteration 2 reproduces the uninterrupted 5-iteration run
     assert params_digest(load_model(resumed)[0]) == params_digest(load_model(out)[0])
+    # the checkpoint is named by its content, like every other input
+    assert read_provenance(resumed)["inputs"]["resume_from"] == \
+        file_sha256(ckpt / "ckpt_0000002.emom")
+
+
+@pytest.mark.parametrize("kind, shape", [("m", (3,)), ("v", (500, 8)), ("m", None)],
+                         ids=["m_flat", "v_too_tall", "m_missing"])
+def test_resume_rejects_malformed_moment_tables(pipeline, tmp_path, capsys, kind, shape):
+    ckpt = tmp_path / "ckpt"
+    assert main(["train", "--config", pipeline["cfg"], pipeline["corpus"],
+                 str(tmp_path / "first.emom"), "--iterations", "3",
+                 "--checkpoint-every", "2", "--checkpoint-dir", str(ckpt)]) == 0
+    path = ckpt / "ckpt_0000002.emom"
+    params, adam, meta, trace = load_checkpoint(path)
+    moments = getattr(adam, kind)
+    if shape is None:
+        del moments["in_proj.w"]
+    else:
+        moments["in_proj.w"] = np.zeros(shape, np.float32)
+    save_checkpoint(params, adam, 2, trace, TrainConfig(**meta["train_config"]), path)
+    capsys.readouterr()
+    assert main(["train", "--config", pipeline["cfg"], pipeline["corpus"],
+                 str(tmp_path / "resumed.emom"), "--iterations", "5",
+                 "--resume", str(path)]) == 4
+    assert f"adam.{kind}.in_proj.w" in capsys.readouterr().err
+    assert not (tmp_path / "resumed.emom").exists()
 
 
 @pytest.mark.parametrize("flags, key", [
@@ -201,6 +237,32 @@ def test_codebook_needs_no_neutral_files(pipeline, codebook_path, tmp_path):
         assert list(got.emotions[emotion].levels) == list(entry.levels)
         for level, vector in entry.levels.items():
             np.testing.assert_array_equal(got.emotions[emotion].levels[level], vector)
+
+
+def test_provenance_names_one_model_through_the_pipeline(pipeline, codebook_path,
+                                                         tmp_path):
+    # train, score and codebook all name the model by its file's sha256
+    model_sha = file_sha256(pipeline["model"])
+    assert read_provenance(pipeline["model"])["model_hash"] == model_sha
+    scores = tmp_path / "scores.csv"
+    assert main(["score", "--config", pipeline["cfg"], pipeline["model"],
+                 pipeline["corpus"], "--out", str(scores)]) == 0
+    score_prov = read_provenance(scores)
+    cb_prov = load_codebook(codebook_path).provenance
+    assert score_prov["inputs"]["model"] == model_sha
+    assert cb_prov["inputs"]["model"] == model_sha
+    assert cb_prov["inputs"]["corpus_hash"] == score_prov["inputs"]["corpus_hash"]
+    # the embedded record has the sidecar layout, plus the binning that made it
+    assert set(cb_prov) == (set(score_prov) - {"n_records"}) | {"bin_policy",
+                                                                "level_source", "n_bins"}
+    assert (cb_prov["command"], cb_prov["seed"]) == ("codebook", 3)
+    assert cb_prov["config_hash"] == score_prov["config_hash"]
+    labels = tmp_path / "utt.labels"
+    labels.write_text(f"#levels v1\n{sorted(load_codebook(codebook_path).emotions)[0]}\tMax\n")
+    out = tmp_path / "utt.emof"
+    assert main(["condition", "--config", pipeline["cfg"], codebook_path, str(labels),
+                 str(out)]) == 0
+    assert read_provenance(out)["inputs"]["codebook"] == file_sha256(codebook_path)
 
 
 def test_condition_output(pipeline, codebook_path, tmp_path):
@@ -551,6 +613,64 @@ def test_format_errors_exit_4(pipeline, tmp_path, capsys):
         assert main([command, "--config", str(cfg), *args]) == 4, doc
         assert key in capsys.readouterr().err
         assert os.listdir(typed) == []
+
+
+def rewrite_model_header(path, edit):
+    """Apply ``edit`` to the JSON blob of an EMOM file and re-seal its CRC."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    blob = json.loads(raw[12:12 + n])
+    edit(blob)
+    text = json.dumps(blob, sort_keys=True).encode("utf-8")
+    body = raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + n:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda blob: blob["config"].update(n_layers=2),
+    lambda blob: blob.pop("config"),
+    lambda blob: blob["config"].update(dropout=2.0),
+], ids=["unknown_key", "missing", "dropout_2"])
+def test_bad_config_in_model_header_exits_4(pipeline, tmp_path, capsys, edit):
+    model = tmp_path / "bad.emom"
+    shutil.copy(pipeline["model"], model)
+    rewrite_model_header(model, edit)
+    assert main(["score", str(model), pipeline["corpus"]]) == 4
+    assert "model header has no valid extractor config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["seed", "config"])
+@pytest.mark.parametrize("command", ["featurize", "synthdata", "train", "score", "codebook",
+                                     "condition", "mcd", "gradcheck"])
+def test_bad_seed_or_config_exits_4_before_writing(pipeline, codebook_path, tmp_path,
+                                                   monkeypatch, capsys, command, bad):
+    inp, out = tmp_path / "in", tmp_path / "out"
+    inp.mkdir()
+    out.mkdir()
+    write_wav(inp / "a.wav")
+    (inp / "labels.csv").write_text("filename,speaker,emotion\na.wav,s0,angry\n")
+    emotion = sorted(load_codebook(codebook_path).emotions)[0]
+    (inp / "p.labels").write_text(f"#levels v1\n{emotion}\tMin\n")
+    emof = os.path.join(pipeline["corpus"], sorted(os.listdir(pipeline["corpus"]))[0])
+    args = {
+        "featurize": [str(inp), str(inp / "labels.csv"), str(out / "feat")],
+        "synthdata": [str(out / "corpus")],
+        "train": [pipeline["corpus"], str(out / "m.emom"), "--checkpoint-dir",
+                  str(out / "ckpt")],
+        "score": [pipeline["model"], pipeline["corpus"], "--out", str(out / "s.csv")],
+        "codebook": [pipeline["model"], pipeline["corpus"], str(out / "cb.json")],
+        "condition": [codebook_path, str(inp / "p.labels"), str(out / "c.emof")],
+        "mcd": [emof, emof, "--out", str(out / "mcd.json")],
+        "gradcheck": [],
+    }[command]
+    if bad == "seed":
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+    else:
+        (inp / "bad.json").write_text(json.dumps({"train": {"lerning_rate": 0.1}}))
+        args = ["--config", str(inp / "bad.json"), *args]
+    assert main([command, *args]) == 4
+    assert ("EMORANK_SEED" if bad == "seed" else "lerning_rate") in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_dimension_errors_exit_5(pipeline, tmp_path):

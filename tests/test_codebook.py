@@ -12,8 +12,7 @@ from emorank import codebook
 from emorank.binio import FileFormatError
 from emorank.codebook import (EmotionEntry, IntensityCodebook, PhonemeAlignment,
                               PhonemeInterval, ScoreRecord, build_codebook,
-                              classify_utterance, codebook_provenance,
-                              condition, level_names, load_codebook,
+                              classify_utterance, condition, level_names, load_codebook,
                               phoneme_average, read_alignment,
                               read_phoneme_labels, save_codebook,
                               score_corpus, write_alignment)
@@ -327,6 +326,15 @@ def test_vector_lookup_and_neutral_rule():
         cb.vector("angry")
 
 
+def test_codebook_provenance_records_the_binning_it_used():
+    # a caller's record cannot mislabel the levels: build_codebook's own
+    # binning settings replace any the record carries
+    cb = build_codebook([record(s) for s in range(6)], n_bins=2, policy="fixed",
+                        provenance={"seed": 1, "n_bins": 3})
+    assert cb.provenance == {"seed": 1, "n_bins": 2, "bin_policy": "fixed",
+                             "level_source": "pooled"}
+
+
 def test_codebook_json_round_trip(tmp_path):
     cb = build_two_emotion_codebook()
     path = tmp_path / "codebook.json"
@@ -370,14 +378,6 @@ def test_load_codebook_requires_neutral(tmp_path):
         path.write_text(text)
         with pytest.raises(FileFormatError):
             load_codebook(path)
-
-
-def test_codebook_provenance_hashes():
-    params, corpus = tiny_model(), mini_corpus()
-    prov = codebook_provenance(params, corpus, seed=7)
-    assert set(prov) == {"model_hash", "corpus_hash", "seed"}
-    assert len(prov["model_hash"]) == 64
-    assert prov["seed"] == 7
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from emorank.binio import ChecksumError, FileFormatError
 from emorank.extractor import (ExtractorConfig, ModelParams, _expected_shapes,
                                _position_table, classify, draw_dropout_masks,
                                forward_intensity, init_params, load_model,
-                               params_digest, pool, positional_encoding,
-                               project_score, save_model)
+                               pool, positional_encoding, project_score, save_model)
 from emorank.numerics import Tensor
+from params_oracle import params_digest
 
 CFG = ExtractorConfig(input_dim=10, hidden_dim=8, n_fft_blocks=1, n_heads=2,
                       conv_kernel=3, conv_filter_dim=12, dropout=0.1,

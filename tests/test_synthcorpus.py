@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emorank.binio import FileFormatError
 from emorank.synthcorpus import (EMOTION_NAMES, SynthSpec, class_signatures,
                                  generate, load_metadata, save_corpus,
                                  spec_digest, speaker_bases)
@@ -145,6 +146,19 @@ def test_metadata_header_validated(tmp_path):
     bad.write_text("id,spk,emo,t\nx,s,angry,0.5\n")
     with pytest.raises(ValueError):
         load_metadata(bad)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("id,spk,emo,t\nx,s,angry,0.5\n", "metadata.csv:1:"),
+    ("utterance_id,speaker,emotion,true_intensity\nx,s,angry,0.5\ny,s,angry\n",
+     "metadata.csv:3:"),
+    ("utterance_id,speaker,emotion,true_intensity\nx,s,angry,high\n", "metadata.csv:2:"),
+], ids=["bad_header", "short_row", "not_a_number"])
+def test_malformed_metadata_is_a_format_error(tmp_path, text, where):
+    path = tmp_path / "metadata.csv"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=where):
+        load_metadata(path)
 
 
 def test_spec_digest_tracks_fields():

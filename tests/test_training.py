@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from emorank.binio import FileFormatError
-from emorank.extractor import (ExtractorConfig, init_params, load_model,
-                               params_digest, save_model)
+from emorank.extractor import ExtractorConfig, init_params, load_model, save_model
 from emorank.features import FeatureMatrix
 from emorank.numerics import AdamState
 from emorank.synthcorpus import SynthSpec, generate
@@ -16,6 +15,7 @@ from emorank.training import (Corpus, TrainConfig, TrainingError,
                               iteration_rng, load_checkpoint, load_corpus,
                               read_trace_csv, sample_pair, save_checkpoint,
                               train_rank_model, write_trace_csv)
+from params_oracle import params_digest
 
 
 def utt(speaker, emotion, k, t_len=8, channels=6, seed=None):
@@ -340,6 +340,15 @@ def test_trace_csv_header_validated(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,d\n0,1,2,3\n")
     with pytest.raises(FileFormatError):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("row, line", [("1,0.5,zero,0.7", 3), ("1,0.5,0.7", 3)],
+                         ids=["not_a_number", "three_fields"])
+def test_trace_csv_malformed_row_names_its_line(tmp_path, row, line):
+    path = tmp_path / "loss.csv"
+    path.write_text(f"iteration,l_mixup,l_rank,l_total\n0,1.5,0.5,0.7\n{row}\n")
+    with pytest.raises(FileFormatError, match=f"loss.csv:{line}:"):
         read_trace_csv(path)
 
 
