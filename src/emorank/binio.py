@@ -1,8 +1,12 @@
-"""Primitives shared by the EMOF feature and EMOM model file formats.
+"""The artifact file formats' shared primitives: binary sections, CSV files.
 
-Both formats are little-endian, carry a 4-byte magic and a u32 version, and
+Binary formats are little-endian, carry a 4-byte magic and a u32 version, and
 end each section with a CRC32 over every byte of the section that precedes
 it. Strings are u32-length-prefixed UTF-8.
+
+Models and checkpoint appendices are table sections (:func:`write_table_section`):
+magic | version u32 | JSON header str | table count u32 | per table: name str,
+dtype tag str ("f4" or "f8"), ndim u32, dims u32..., little-endian payload | CRC32.
 
 :func:`atomic_write` replaces an artifact file in one step, so a writer
 that fails part way leaves the previous file as it was.
@@ -12,11 +16,17 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import os
 import secrets
 import struct
 import zlib
 from typing import BinaryIO
+
+import numpy as np
+
+_DTYPE_TAGS = {"f4": np.float32, "f8": np.float64}
+_TAG_OF_DTYPE = {np.dtype(dtype): tag for tag, dtype in _DTYPE_TAGS.items()}
 
 
 class FileFormatError(ValueError):
@@ -50,6 +60,14 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_csv(path, header: list[str], rows):
+    """Write a UTF-8 CSV file of ``header`` and then ``rows``, in one step."""
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_csv(path, header: list[str], parse) -> list:
@@ -121,7 +139,11 @@ class SectionReader:
         return struct.unpack("<d", self.read(8))[0]
 
     def read_str(self) -> str:
-        return self.read(self.read_u32()).decode("utf-8")
+        raw = self.read(self.read_u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FileFormatError(f"string is not UTF-8: {e}") from e
 
     def expect_magic(self, magic: bytes):
         got = self.read(len(magic))
@@ -136,3 +158,63 @@ class SectionReader:
         stored = struct.unpack("<I", raw)[0]
         if stored != expected:
             raise ChecksumError(f"checksum mismatch: stored {stored:#010x}, computed {expected:#010x}")
+
+
+def write_table_section(fh: BinaryIO, magic: bytes, version: int, header: dict,
+                        tables: dict[str, np.ndarray]):
+    """Write ``header`` as sorted-key JSON, then the float32 or float64
+    arrays of ``tables`` in the dict's order."""
+    w = SectionWriter(fh)
+    w.write(magic)
+    w.write_u32(version)
+    w.write_str(json.dumps(header, sort_keys=True))
+    w.write_u32(len(tables))
+    for name, arr in tables.items():
+        tag = _TAG_OF_DTYPE[arr.dtype]
+        w.write_str(name)
+        w.write_str(tag)
+        for n in (arr.ndim, *arr.shape):
+            w.write_u32(n)
+        # the array's own buffer, not a bytes copy of it
+        w.write(memoryview(np.ascontiguousarray(arr, "<" + tag).reshape(-1)).cast("B"))
+    w.finish()
+
+
+def read_table_section(fh: BinaryIO, magic: bytes, version: int) -> tuple[dict, dict]:
+    """``(header, tables)`` of the table section at the file position; any
+    malformed content raises :class:`FileFormatError`."""
+    r = SectionReader(fh)
+    r.expect_magic(magic)
+    if (got := r.read_u32()) != version:
+        raise FileFormatError(f"unsupported {magic.decode()} version {got}")
+    text, tables = r.read_str(), {}
+    for _ in range(r.read_u32()):
+        name, tag = r.read_str(), r.read_str()
+        if tag not in _DTYPE_TAGS or name in tables:
+            raise FileFormatError(f"table '{name}' is repeated or has unknown dtype '{tag}'")
+        shape = tuple(r.read_u32() for _ in range(r.read_u32()))
+        raw = r.read(int(np.prod(shape, dtype=np.int64)) * np.dtype(_DTYPE_TAGS[tag]).itemsize)
+        tables[name] = np.frombuffer(raw, dtype="<" + tag).reshape(shape).copy()
+    r.finish()
+    try:
+        header = json.loads(text)
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{magic.decode()} header is not a JSON object: {text[:80]!r}")
+    return header, tables
+
+
+def check_tables(tables: dict[str, np.ndarray], shapes: dict[str, tuple],
+                 what: str) -> dict[str, np.ndarray]:
+    """``tables`` in the order of ``shapes``, which must name each table and
+    its shape (``None``: any length), else :class:`FileFormatError`."""
+    wrong = [f"unexpected '{name}'" for name in tables if name not in shapes]
+    for name, shape in shapes.items():
+        got = tables[name].shape if name in tables else None
+        if got is None or len(got) != len(shape) or any(
+                want not in (None, n) for n, want in zip(got, shape)):
+            wrong.append(f"'{name}' {'missing' if got is None else got}, expected {shape}")
+    if wrong:
+        raise FileFormatError(f"{what} has bad tables: " + "; ".join(wrong))
+    return {name: tables[name] for name in shapes}

@@ -18,7 +18,6 @@ distinct exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import inspect
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import numerics as nm
-from .binio import FileFormatError, atomic_write, read_csv
+from .binio import FileFormatError, atomic_write, read_csv, write_csv
 from .codebook import (BIN_POLICIES, LEVEL_SOURCES, build_codebook, condition,
                        load_codebook, read_alignment, read_phoneme_labels, save_codebook,
                        score_corpus)
@@ -202,10 +201,7 @@ def cmd_score(args, cfg: RunConfig, seed: int) -> int:
     records = score_corpus(params, corpus)
     rows = [[r.utterance_id, r.emotion, repr(r.score)] for r in records]
     if args.out:
-        with atomic_write(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["utterance_id", "emotion", "score"])
-            writer.writerows(rows)
+        write_csv(args.out, ["utterance_id", "emotion", "score"], rows)
         write_provenance(args.out, provenance(
             "score", cfg, seed,
             {"model": sha256_file(args.model), "corpus_hash": corpus_digest(corpus)},
@@ -446,7 +442,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: missing input: {e}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ConfigError, FileFormatError) as e:
+    except (ConfigError, FileFormatError, UnicodeDecodeError) as e:  # text not UTF-8
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except TrainingError as e:

@@ -161,11 +161,6 @@ class IntensityCodebook:
         return entry.levels[level]
 
 
-def _quantile_bins(order: np.ndarray, n_bins: int) -> list[np.ndarray]:
-    """Split rank-ordered indices into n_bins near-equal runs."""
-    return [b for b in np.array_split(order, n_bins)]
-
-
 def _fixed_bins(scores: np.ndarray, order: np.ndarray, n_bins: int) -> list[np.ndarray]:
     """Min-max normalize, then cut [0,1] into equal-width intervals."""
     lo, hi = scores.min(), scores.max()
@@ -213,7 +208,7 @@ def build_codebook(records: list[ScoreRecord], n_bins: int = 3, *,
                              f"needs >= {n_bins} for {n_bins} bins")
         scores = np.asarray([r.score for r in recs], dtype=np.float64)
         order = np.argsort(scores, kind="stable")
-        bins = (_quantile_bins(order, n_bins) if policy == "quantile"
+        bins = (np.array_split(order, n_bins) if policy == "quantile"
                 else _fixed_bins(scores, order, n_bins))
         if policy == "fixed" and any(len(b) == 0 for b in bins):
             raise ValueError(f"fixed-width binning left an empty bin for "
@@ -336,7 +331,7 @@ class PhonemeAlignment:
             raise ValueError("alignment has no phonemes")
         prev_end = 0.0
         for iv in intervals:
-            if iv.start_s < 0 or iv.end_s <= iv.start_s:
+            if not 0 <= iv.start_s < iv.end_s < math.inf:  # NaN fails too
                 raise ValueError(f"bad interval for '{iv.symbol}': "
                                  f"[{iv.start_s}, {iv.end_s})")
             if iv.start_s < prev_end - 1e-9:
@@ -356,30 +351,39 @@ class PhonemeAlignment:
 ALIGNMENT_HEADER = "#phonemes v1"
 
 
+def _read_tab_lines(path, header: str, columns: tuple, parse, what: str) -> list:
+    """``parse(fields)`` for each non-blank line of ``columns`` tab-separated
+    fields after the ``header`` line; a malformed file, or one with no line
+    of ``what``, raises :class:`FileFormatError` naming ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().strip()
+        if first != header:
+            raise FileFormatError(f"{path}:1: expected header '{header}'; got {first!r}")
+        out = []
+        for n, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            try:
+                if len(fields) != len(columns):
+                    raise ValueError(f"expected {'<TAB>'.join(columns)}")
+                out.append(parse(fields))
+            except ValueError as e:
+                raise FileFormatError(f"{path}:{n}: {e}; got {line.rstrip()!r}") from e
+    if not out:
+        raise FileFormatError(f"{path}: no {what}")
+    return out
+
+
 def read_alignment(path) -> PhonemeAlignment:
     """Parse the tab-separated interval file (header line '#phonemes v1')."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].strip() != ALIGNMENT_HEADER:
-        raise FileFormatError(f"alignment file must start with '{ALIGNMENT_HEADER}'")
-    intervals = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FileFormatError(f"line {n}: expected symbol<TAB>start<TAB>end")
-        try:
-            start, end = float(parts[1]), float(parts[2])
-        except ValueError as e:
-            raise FileFormatError(f"line {n}: start and end must be numbers: {e}") from e
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise FileFormatError(f"line {n}: start and end must be finite")
-        intervals.append(PhonemeInterval(parts[0], start, end))
+    intervals = _read_tab_lines(path, ALIGNMENT_HEADER, ("symbol", "start", "end"),
+                                lambda f: PhonemeInterval(f[0], float(f[1]), float(f[2])),
+                                "phonemes")
     try:
         return PhonemeAlignment(intervals)
-    except ValueError as e:  # no intervals, or a negative, empty or overlapping one
-        raise FileFormatError(str(e)) from e
+    except ValueError as e:  # a negative, empty, non-finite or overlapping interval
+        raise FileFormatError(f"{path}: {e}") from e
 
 
 def write_alignment(align: PhonemeAlignment, path):
@@ -440,18 +444,5 @@ def read_phoneme_labels(path) -> list[tuple]:
     """Parse per-phoneme label lines 'emotion<TAB>level'; neutral rows may
     use '-' for the level (header line '#levels v1'). A file without a label
     line raises :class:`FileFormatError`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].strip() != LABELS_HEADER:
-        raise FileFormatError(f"labels file must start with '{LABELS_HEADER}'")
-    labels = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FileFormatError(f"line {n}: expected emotion<TAB>level")
-        labels.append((parts[0], parts[1]))
-    if not labels:
-        raise FileFormatError("labels file has no phoneme labels")
-    return labels
+    return _read_tab_lines(path, LABELS_HEADER, ("emotion", "level"), tuple,
+                           "phoneme labels")

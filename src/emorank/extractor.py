@@ -12,25 +12,22 @@ Every stage takes one shape: a packed (sum T, C) batch of utterances with
 their frame counts as segment lengths, and (B, hidden) pooled rows for the
 heads. A single utterance is a batch of one segment.
 
-Models persist in the EMOM binary format documented at save_model/load_model.
+Models persist in the EMOM format, one binio table section (see save_model).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write
+from .binio import (FileFormatError, atomic_write, check_tables, read_table_section,
+                    write_table_section)
 from .numerics import Tensor
 
 EMOM_MAGIC = b"EMOM"
 EMOM_VERSION = 1
-
-_DTYPE_TAGS = {"f4": np.float32, "f8": np.float64}
-_TAG_OF_DTYPE = {np.dtype(dtype): tag for tag, dtype in _DTYPE_TAGS.items()}
 
 
 @dataclass
@@ -271,7 +268,7 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
     cfg = params.config
     if not isinstance(x, (list, tuple)):
         x, emotion_class = [x], [emotion_class]
-    segments = [s.data if isinstance(s, Tensor) else np.asarray(s) for s in x]
+    segments = [np.asarray(s) for s in x]
     classes = [params.class_index(c) for c in emotion_class]
     if len(classes) != len(segments):
         raise ValueError(f"{len(classes)} emotion classes for {len(segments)} segments")
@@ -326,41 +323,9 @@ def project_score(params: ModelParams, h: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# EMOM model files
-#
-# magic "EMOM" | version u32 | JSON blob str (config, emotions, meta)
-# | tensor count u32 | per tensor: name str, dtype str, ndim u32, dims u32...,
-#   raw little-endian payload | CRC32 of all preceding bytes
-#
-# Checkpoints append one more section after the model section (see training).
-
-
-def write_tensor_table(w: SectionWriter, entries: dict[str, np.ndarray]):
-    w.write_u32(len(entries))
-    for name, arr in entries.items():
-        tag = _TAG_OF_DTYPE[arr.dtype]
-        w.write_str(name)
-        w.write_str(tag)
-        w.write_u32(arr.ndim)
-        for dim in arr.shape:
-            w.write_u32(dim)
-        # the array's own buffer, not a bytes copy of it
-        payload = np.ascontiguousarray(arr).astype("<" + tag, copy=False)
-        w.write(memoryview(payload.reshape(-1)).cast("B"))
-
-
-def read_tensor_table(r: SectionReader) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for _ in range(r.read_u32()):
-        name = r.read_str()
-        tag = r.read_str()
-        if tag not in _DTYPE_TAGS:
-            raise FileFormatError(f"unknown tensor dtype tag '{tag}'")
-        shape = tuple(r.read_u32() for _ in range(r.read_u32()))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = r.read(count * np.dtype(_DTYPE_TAGS[tag]).itemsize)
-        out[name] = np.frombuffer(raw, dtype="<" + tag).reshape(shape).copy()
-    return out
+# EMOM model files: one binio table section. The header holds the config,
+# class labels and meta; the tables are the parameters in canonical order,
+# then the feature statistics if any. Checkpoints append one more section.
 
 
 def save_model(params: ModelParams, path, meta: dict | None = None):
@@ -370,58 +335,38 @@ def save_model(params: ModelParams, path, meta: dict | None = None):
 
 
 def _write_model_section(fh, params: ModelParams, meta: dict | None):
-    blob = {
-        "config": asdict(params.config),
-        "emotions": params.emotions,
-        "meta": meta or {},
-    }
-    entries = {name: t.data for name, t in params.tensors.items()}
+    header = {"config": asdict(params.config), "emotions": params.emotions,
+              "meta": meta or {}}
+    tables = {name: t.data for name, t in params.tensors.items()}
     if params.feat_mean is not None:
-        entries["feat.mean"] = np.asarray(params.feat_mean, dtype=params.dtype)
-        entries["feat.std"] = np.asarray(params.feat_std, dtype=params.dtype)
-    w = SectionWriter(fh)
-    w.write(EMOM_MAGIC)
-    w.write_u32(EMOM_VERSION)
-    w.write_str(json.dumps(blob, sort_keys=True))
-    write_tensor_table(w, entries)
-    w.finish()
+        tables["feat.mean"] = np.asarray(params.feat_mean, dtype=params.dtype)
+        tables["feat.std"] = np.asarray(params.feat_std, dtype=params.dtype)
+    write_table_section(fh, EMOM_MAGIC, EMOM_VERSION, header, tables)
 
 
 def _read_model_section(fh) -> tuple[ModelParams, dict]:
-    r = SectionReader(fh)
-    r.expect_magic(EMOM_MAGIC)
-    version = r.read_u32()
-    if version != EMOM_VERSION:
-        raise FileFormatError(f"unsupported EMOM version {version}")
-    blob = json.loads(r.read_str())
-    table = read_tensor_table(r)
-    r.finish()
-
+    header, tables = read_table_section(fh, EMOM_MAGIC, EMOM_VERSION)
     try:
-        cfg = ExtractorConfig(**blob["config"])
+        cfg = ExtractorConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as e:  # missing, unknown key, bad value
         raise FileFormatError(f"model header has no valid extractor config: {e!r}") from e
-    feat_mean = table.pop("feat.mean", None)
-    feat_std = table.pop("feat.std", None)
-    expected = _expected_shapes(cfg)
-    if set(table) != set(expected):
-        missing = sorted(set(expected) - set(table))
-        extra = sorted(set(table) - set(expected))
-        raise FileFormatError(f"tensor table mismatch: missing {missing}, unexpected {extra}")
-    tensors = {}
-    for name in expected:  # canonical order, independent of file order
-        if table[name].shape != expected[name]:
-            raise FileFormatError(f"tensor '{name}' has shape {table[name].shape}, "
-                                  f"expected {expected[name]}")
-        tensors[name] = Tensor(table[name], requires_grad=True)
-    params = ModelParams(cfg, blob["emotions"], tensors,
-                         feat_mean=feat_mean, feat_std=feat_std)
-    return params, blob.get("meta", {})
+    emotions = header.get("emotions")
+    if not (isinstance(emotions, list) and len(emotions) == cfg.n_emotion_classes
+            and all(isinstance(e, str) for e in emotions)):
+        raise FileFormatError(f"model header needs {cfg.n_emotion_classes} emotion "
+                              f"labels, got {emotions!r}")
+    shapes = _expected_shapes(cfg)
+    if tables.keys() & {"feat.mean", "feat.std"}:  # both or neither
+        shapes.update({"feat.mean": (cfg.input_dim,), "feat.std": (cfg.input_dim,)})
+    tables = check_tables(tables, shapes, "model")
+    feat_mean, feat_std = tables.pop("feat.mean", None), tables.pop("feat.std", None)
+    tensors = {name: Tensor(data, requires_grad=True) for name, data in tables.items()}
+    return ModelParams(cfg, emotions, tensors, feat_mean, feat_std), header.get("meta", {})
 
 
 def load_model(path) -> tuple[ModelParams, dict]:
     """Read a model (or the model section of a checkpoint) and the ``meta``
-    dict saved with it; trailing sections are ignored here."""
+    dict saved with it; trailing sections are ignored here. A file that is
+    not a whole, well-formed model raises :class:`FileFormatError`."""
     with open(path, "rb") as fh:
         return _read_model_section(fh)
-

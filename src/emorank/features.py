@@ -373,6 +373,10 @@ def write_features(fm: FeatureMatrix, path):
 
 
 def read_features(path) -> FeatureMatrix:
+    """An ``.emof`` file's matrix; an invalid one raises :class:`FileFormatError`."""
     frames, frame_rate, emotion, speaker, source = read_emof(path)
-    return FeatureMatrix(frames=frames, frame_rate_hz=frame_rate,
-                         source_id=source, emotion_label=emotion, speaker_id=speaker)
+    try:
+        return FeatureMatrix(frames=frames, frame_rate_hz=frame_rate,
+                             source_id=source, emotion_label=emotion, speaker_id=speaker)
+    except ValueError as e:
+        raise FileFormatError(f"{path}: {e}") from e

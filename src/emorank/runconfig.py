@@ -130,17 +130,15 @@ class RunConfig:
         self.doc = _merge(DEFAULTS, document or {}, "")
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def load(cls, path=None) -> "RunConfig":
+        if not path:
+            return cls()
         with open(path, encoding="utf-8") as fh:
             try:
                 document = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         return cls(document)
-
-    @classmethod
-    def load(cls, path=None) -> "RunConfig":
-        return cls.from_file(path) if path else cls()
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))

@@ -10,14 +10,13 @@ The true t never appears in the features except through that additive term.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import atomic_write, read_csv
+from .binio import read_csv, write_csv
 from .features import FeatureConfig, FeatureMatrix, write_features
 from .training import Corpus
 
@@ -161,12 +160,9 @@ def save_corpus(result: SynthResult, out_dir) -> list[str]:
         p = os.path.join(out_dir, u.source_id + ".emof")
         write_features(u, p)
         paths.append(p)
-    with atomic_write(os.path.join(out_dir, "metadata.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METADATA_HEADER)
-        for u in result.corpus:
-            writer.writerow([u.source_id, u.speaker_id, u.emotion_label,
-                             repr(result.true_intensity[u.source_id])])
+    write_csv(os.path.join(out_dir, "metadata.csv"), METADATA_HEADER,
+              ([u.source_id, u.speaker_id, u.emotion_label,
+                repr(result.true_intensity[u.source_id])] for u in result.corpus))
     return paths
 
 

@@ -10,9 +10,7 @@ run.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 
@@ -20,11 +18,11 @@ import numpy as np
 
 from . import is_neutral
 from . import numerics as nm
-from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write, read_csv
+from .binio import (FileFormatError, atomic_write, check_tables, read_csv,
+                    read_table_section, write_csv, write_table_section)
 from .extractor import (ExtractorConfig, ModelParams, _read_model_section,
                         _write_model_section, classify, draw_dropout_masks,
-                        forward_intensity, init_params, pool, project_score,
-                        read_tensor_table, write_tensor_table)
+                        forward_intensity, init_params, pool, project_score)
 from .features import FeatureMatrix, read_features
 # pair_probability is not called here; perfbench's tracer patches it by name (else KeyError)
 from .losses import LossWeights, mixup_ce, pair_probability, rank_loss, total_loss
@@ -319,59 +317,42 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: a regular model file followed by one optimizer appendix section
-#
-# magic "EMOA" | version u32 | JSON meta str (iteration, adam step, train
-# config) | tensor table (adam first/second moments, loss trace) | CRC32
+# checkpoints: a regular model file followed by one binio table section, the
+# optimizer appendix. Its header is the meta dict, whose keys have these types;
+# its tables are the Adam moments, in the parameters' order, and the loss trace
+_CHECKPOINT_META = {"iteration": int, "adam_step": int, "train_config": dict}
 
 
 def save_checkpoint(params: ModelParams, adam: AdamState, iteration: int,
                     trace: np.ndarray, train_cfg: TrainConfig, path):
     meta = {"iteration": iteration, "adam_step": adam.step,
             "train_config": asdict(train_cfg)}
-    entries = {}
-    for name, m in adam.m.items():
-        entries["adam.m." + name] = m
-    for name, v in adam.v.items():
-        entries["adam.v." + name] = v
-    entries["trace"] = np.asarray(trace, dtype=np.float64).reshape(-1, 4)
+    tables = {**{"adam.m." + name: m for name, m in adam.m.items()},
+              **{"adam.v." + name: v for name, v in adam.v.items()},
+              "trace": np.asarray(trace, dtype=np.float64).reshape(-1, 4)}
     with atomic_write(path) as fh:
         _write_model_section(fh, params, {"checkpoint_iteration": iteration})
-        w = SectionWriter(fh)
-        w.write(CHECKPOINT_MAGIC)
-        w.write_u32(CHECKPOINT_VERSION)
-        w.write_str(json.dumps(meta, sort_keys=True))
-        write_tensor_table(w, entries)
-        w.finish()
+        write_table_section(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, tables)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
     """The parameters, Adam state, ``meta`` dict (iteration, Adam step,
-    train config) and loss trace saved by :func:`save_checkpoint`. A missing
-    Adam moment table, or one not of its parameter's shape, raises
-    :class:`FileFormatError`."""
+    train config) and loss trace saved by :func:`save_checkpoint`; a
+    malformed checkpoint raises :class:`FileFormatError`."""
     with open(path, "rb") as fh:
         params, _ = _read_model_section(fh)
-        r = SectionReader(fh)
-        r.expect_magic(CHECKPOINT_MAGIC)
-        version = r.read_u32()
-        if version != CHECKPOINT_VERSION:
-            raise FileFormatError(f"unsupported checkpoint version {version}")
-        meta = json.loads(r.read_str())
-        table = read_tensor_table(r)
-        r.finish()
-    trace = table.pop("trace").reshape(-1, 4)
+        meta, tables = read_table_section(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    where = f"checkpoint {os.fspath(path)}"
+    bad = [key for key, kind in _CHECKPOINT_META.items() if not isinstance(meta.get(key), kind)]
+    if bad:
+        raise FileFormatError(f"{where} meta lacks a valid {', '.join(bad)}")
     shapes = {f"adam.{kind}.{name}": t.data.shape
               for kind in "mv" for name, t in params.tensors.items()}
-    wrong = [f"{key} {table[key].shape if key in table else 'missing'}, expected {shape}"
-             for key, shape in shapes.items() if key not in table or table[key].shape != shape]
-    if wrong:
-        raise FileFormatError(f"checkpoint {os.fspath(path)} has bad Adam moment tables: "
-                              + "; ".join(wrong))
-    adam = AdamState(params.tensors, step=int(meta["adam_step"]),
-                     m={name: table["adam.m." + name] for name in params.tensors},
-                     v={name: table["adam.v." + name] for name in params.tensors})
-    return params, adam, meta, trace
+    tables = check_tables(tables, {**shapes, "trace": (None, 4)}, where)
+    adam = AdamState(params.tensors, step=meta["adam_step"],
+                     m={name: tables["adam.m." + name] for name in params.tensors},
+                     v={name: tables["adam.v." + name] for name in params.tensors})
+    return params, adam, meta, tables["trace"]
 
 
 # settings a resumed run may change: how long it runs and how often it
@@ -401,12 +382,8 @@ TRACE_HEADER = ["iteration", "l_mixup", "l_rank", "l_total"]
 
 
 def write_trace_csv(trace: np.ndarray, path):
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for row in np.asarray(trace).reshape(-1, 4):
-            writer.writerow([int(row[0]), repr(float(row[1])),
-                             repr(float(row[2])), repr(float(row[3]))])
+    write_csv(path, TRACE_HEADER, ([int(row[0]), *(repr(float(x)) for x in row[1:])]
+                                   for row in np.asarray(trace).reshape(-1, 4)))
 
 
 def read_trace_csv(path) -> np.ndarray:

@@ -71,11 +71,11 @@ def _checkpoint(path, fail, monkeypatch):
     params = _params()
     if fail:
         # fail in the optimizer section, after the whole model section
-        def broken_table(w, entries):
-            w.write(b"partial")
+        def broken_section(fh, magic, version, header, tables):
+            fh.write(b"partial")
             raise Boom
 
-        monkeypatch.setattr(training, "write_tensor_table", broken_table)
+        monkeypatch.setattr(training, "write_table_section", broken_section)
     save_checkpoint(params, AdamState(params.tensors), 3, np.zeros((3, 4)),
                     TrainConfig(iterations=9, batch_pairs=2, seed=4), path)
 
@@ -257,4 +257,33 @@ def test_the_package_writes_files_only_through_atomic_write():
     src = Path(emorank.__file__).parent
     found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
              for line in _in_place_writes(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def _section_constructions(source: str) -> list[int]:
+    """Lines that call ``SectionReader`` or ``SectionWriter``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) in ("SectionReader", "SectionWriter")]
+
+
+def test_the_section_scanner_flags_every_construction():
+    source = """
+SectionReader(fh)
+binio.SectionWriter(fh)
+r.read_str()
+SectionReader
+"""
+    assert _section_constructions(source) == [2, 3]
+
+
+def test_only_binio_and_features_frame_binary_sections():
+    # binio owns the table section of models and checkpoints; features
+    # frames the .emof section. Any other module goes through binio's
+    # write_table_section and read_table_section.
+    src = Path(emorank.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             if path.name not in ("binio.py", "features.py")
+             for line in _section_constructions(path.read_text(encoding="utf-8"))]
     assert found == []

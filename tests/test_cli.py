@@ -2,6 +2,7 @@
 exit-code mapping, provenance sidecars, and seed resolution."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,13 +16,14 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
+from emorank.binio import read_table_section, write_table_section
 from emorank.cli import main
 from emorank.codebook import load_codebook
-from emorank.extractor import load_model
+from emorank.extractor import EMOM_MAGIC, EMOM_VERSION, load_model
 from emorank.features import read_emof, read_features, write_emof
 from emorank.runconfig import RunConfig, SEED_ENV_VAR
-from emorank.training import (TrainConfig, corpus_digest, load_checkpoint, load_corpus,
-                              read_trace_csv, save_checkpoint)
+from emorank.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, corpus_digest,
+                              load_corpus, read_trace_csv)
 from params_oracle import params_digest
 
 # small enough that synthdata + train stay in the low seconds
@@ -121,27 +123,54 @@ def test_train_flag_overrides_and_resume(pipeline, tmp_path):
         file_sha256(ckpt / "ckpt_0000002.emom")
 
 
-@pytest.mark.parametrize("kind, shape", [("m", (3,)), ("v", (500, 8)), ("m", None)],
-                         ids=["m_flat", "v_too_tall", "m_missing"])
-def test_resume_rejects_malformed_moment_tables(pipeline, tmp_path, capsys, kind, shape):
+def rewrite_sections(path, *edits):
+    """Apply ``edits[i](header, tables)`` to the i-th table section of a
+    model or checkpoint file and write the file back."""
+    sections = []
+    with open(path, "rb") as fh:
+        for magic, version in [(EMOM_MAGIC, EMOM_VERSION),
+                               (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)][:len(edits)]:
+            sections.append((magic, version, *read_table_section(fh, magic, version)))
+    out = io.BytesIO()
+    for (magic, version, header, tables), edit in zip(sections, edits):
+        edit(header, tables)
+        write_table_section(out, magic, version, header, tables)
+    path.write_bytes(out.getvalue())
+
+
+def keep(header, tables):
+    pass
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda meta, t: t.update({"adam.m.in_proj.w": np.zeros(3, np.float32)}),
+     "adam.m.in_proj.w"),
+    (lambda meta, t: t.update({"adam.v.in_proj.w": np.zeros((500, 8), np.float32)}),
+     "adam.v.in_proj.w"),
+    (lambda meta, t: t.pop("adam.m.in_proj.w"), "adam.m.in_proj.w"),
+    (lambda meta, t: t.pop("trace"), "'trace' missing"),
+    (lambda meta, t: t.update(trace=t["trace"][:, :3]), "'trace' (2, 3)"),
+    (lambda meta, t: t.update({"adam.m.extra": np.zeros(1, np.float32)}),
+     "unexpected 'adam.m.extra'"),
+    (lambda meta, t: meta.pop("iteration"), "iteration"),
+    (lambda meta, t: meta.pop("adam_step"), "adam_step"),
+    (lambda meta, t: meta.pop("train_config"), "train_config"),
+], ids=["m_flat", "v_too_tall", "m_missing", "trace_missing", "trace_3_wide",
+        "unexpected_table", "no_iteration", "no_adam_step", "no_train_config"])
+def test_resume_rejects_malformed_moment_tables(pipeline, tmp_path, capsys, edit, named):
     ckpt = tmp_path / "ckpt"
     assert main(["train", "--config", pipeline["cfg"], pipeline["corpus"],
                  str(tmp_path / "first.emom"), "--iterations", "3",
                  "--checkpoint-every", "2", "--checkpoint-dir", str(ckpt)]) == 0
     path = ckpt / "ckpt_0000002.emom"
-    params, adam, meta, trace = load_checkpoint(path)
-    moments = getattr(adam, kind)
-    if shape is None:
-        del moments["in_proj.w"]
-    else:
-        moments["in_proj.w"] = np.zeros(shape, np.float32)
-    save_checkpoint(params, adam, 2, trace, TrainConfig(**meta["train_config"]), path)
+    rewrite_sections(path, keep, edit)
+    written = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main(["train", "--config", pipeline["cfg"], pipeline["corpus"],
                  str(tmp_path / "resumed.emom"), "--iterations", "5",
                  "--resume", str(path)]) == 4
-    assert f"adam.{kind}.in_proj.w" in capsys.readouterr().err
-    assert not (tmp_path / "resumed.emom").exists()
+    assert named in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == written
 
 
 @pytest.mark.parametrize("flags, key", [
@@ -307,14 +336,15 @@ def test_condition_with_alignment(pipeline, codebook_path, tmp_path):
     "#phonemes v1\n",
     "#phonemes v1\nAH\t0.3\t0.1\n",
     "#phonemes v1\nAH\t0.0\t0.3\nB\t0.2\t0.4\n",
-], ids=["header_only", "ends_before_it_starts", "overlapping"])
+    "#phonemes v1\nA\xff\t0.0\t0.3\nB\t0.3\t0.4\n",
+], ids=["header_only", "ends_before_it_starts", "overlapping", "not_utf8"])
 def test_malformed_alignment_exits_4_and_writes_nothing(codebook_path, tmp_path, capsys,
                                                         text):
     emotion = sorted(load_codebook(codebook_path).emotions)[0]
     labels = tmp_path / "say.labels"
     labels.write_text(f"#levels v1\n{emotion}\tMin\n{emotion}\tMax\n")
     align = tmp_path / "say.align"
-    align.write_text(text)
+    align.write_bytes(text.encode("latin-1"))  # one byte per character
     assert main(["condition", codebook_path, str(labels), str(tmp_path / "say.emof"),
                  "--alignment", str(align)]) == 4
     assert "error:" in capsys.readouterr().err
@@ -334,6 +364,37 @@ def test_condition_unknown_emotion(codebook_path, tmp_path):
     labels.write_text("#levels v1\nghost\tMin\n")
     out = tmp_path / "bad.emof"
     assert main(["condition", codebook_path, str(labels), str(out)]) == 5
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("mcd", None, "not UTF-8"),
+    ("train", None, "not UTF-8"),
+    ("train", lambda f: np.vstack([f, np.full((1, f.shape[1]), np.nan)]), "non-finite"),
+    ("train", lambda f: np.vstack([f, np.full((1, f.shape[1]), -1.0)]), "negative pitch"),
+    ("train", lambda f: f[:, :2], "C>=3"),
+], ids=["mcd_label_not_utf8", "label_not_utf8", "nan_frame", "negative_pitch",
+        "two_channels"])
+def test_malformed_emof_exits_4_and_writes_nothing(pipeline, tmp_path, capsys, command,
+                                                   edit, message):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    shutil.copytree(pipeline["corpus"], corpus)
+    out.mkdir()
+    emof = corpus / sorted(p for p in os.listdir(corpus) if p.endswith(".emof"))[0]
+    frames, rate, emotion, speaker, source = read_emof(emof)
+    if edit is None:
+        # the label's first byte becomes 0xff, under a valid checksum
+        raw = emof.read_bytes()
+        body = raw[:-4].replace(emotion.encode(), b"\xff" + emotion.encode()[1:], 1)
+        emof.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    else:
+        write_emof(emof, edit(frames), rate, emotion, speaker, source)
+    args = {"mcd": [str(emof), str(emof), "--out", str(out / "mcd.json")],
+            "train": [str(corpus), str(out / "m.emom"), "--checkpoint-dir",
+                      str(out / "ckpt")]}[command]
+    capsys.readouterr()
+    assert main([command, "--config", pipeline["cfg"], *args]) == 4
+    assert message in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 # ---------------------------------------------------------------------------
@@ -616,27 +677,55 @@ def test_format_errors_exit_4(pipeline, tmp_path, capsys):
 
 
 def rewrite_model_header(path, edit):
-    """Apply ``edit`` to the JSON blob of an EMOM file and re-seal its CRC."""
+    """Replace the JSON header of an EMOM file with ``edit(header)``, a
+    string taken as the header's text or an object to serialize, and re-seal
+    its CRC."""
     raw = path.read_bytes()
     (n,) = struct.unpack("<I", raw[8:12])
-    blob = json.loads(raw[12:12 + n])
-    edit(blob)
-    text = json.dumps(blob, sort_keys=True).encode("utf-8")
+    header = edit(json.loads(raw[12:12 + n]))
+    text = (header if isinstance(header, str) else json.dumps(header)).encode("utf-8")
     body = raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + n:-4]
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-@pytest.mark.parametrize("edit", [
-    lambda blob: blob["config"].update(n_layers=2),
-    lambda blob: blob.pop("config"),
-    lambda blob: blob["config"].update(dropout=2.0),
-], ids=["unknown_key", "missing", "dropout_2"])
-def test_bad_config_in_model_header_exits_4(pipeline, tmp_path, capsys, edit):
+def without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: {**h, "config": {**h["config"], "n_layers": 2}}, "no valid extractor config"),
+    (without("config"), "no valid extractor config"),
+    (lambda h: {**h, "config": {**h["config"], "dropout": 2.0}}, "no valid extractor config"),
+    (without("emotions"), "needs 3 emotion labels, got None"),
+    (lambda h: {**h, "emotions": h["emotions"] + ["sleepy"]}, "needs 3 emotion labels"),
+    (lambda h: "{not json", "header is not a JSON object"),
+    (lambda h: json.dumps([h]), "header is not a JSON object"),
+], ids=["unknown_key", "missing", "dropout_2", "no_emotions", "extra_emotion", "not_json",
+        "not_object"])
+def test_bad_config_in_model_header_exits_4(pipeline, tmp_path, capsys, edit, message):
     model = tmp_path / "bad.emom"
     shutil.copy(pipeline["model"], model)
     rewrite_model_header(model, edit)
-    assert main(["score", str(model), pipeline["corpus"]]) == 4
-    assert "model header has no valid extractor config" in capsys.readouterr().err
+    assert main(["score", str(model), pipeline["corpus"], "--out",
+                 str(tmp_path / "s.csv")]) == 4
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.emom"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda h, t: t.pop("feat.std"), "'feat.std' missing"),
+    (lambda h, t: t.pop("feat.mean"), "'feat.mean' missing"),
+    (lambda h, t: t.update({"feat.mean": t["feat.mean"][:5]}), "'feat.mean' (5,)"),
+    (lambda h, t: t.update({"feat.std": t["feat.std"][None]}), "'feat.std' (1, 82)"),
+], ids=["mean_only", "std_only", "mean_short", "std_2d"])
+def test_bad_feature_stats_in_model_exit_4(pipeline, tmp_path, capsys, edit, named):
+    model = tmp_path / "bad.emom"
+    shutil.copy(pipeline["model"], model)
+    rewrite_sections(model, edit)
+    assert main(["score", str(model), pipeline["corpus"], "--out",
+                 str(tmp_path / "s.csv")]) == 4
+    assert named in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.emom"]
 
 
 @pytest.mark.parametrize("bad", ["seed", "config"])

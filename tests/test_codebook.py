@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -404,8 +405,8 @@ def test_alignment_parse_errors(tmp_path):
     with pytest.raises(FileFormatError):
         read_alignment(no_header)
     bad_cols = tmp_path / "y.align"
-    bad_cols.write_text("#phonemes v1\nHH 0.0 0.1\n")
-    with pytest.raises(FileFormatError):
+    bad_cols.write_text("#phonemes v1\n\nHH 0.0 0.1\n")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(bad_cols))}:3: "):
         read_alignment(bad_cols)
     for start in ("zero", "nan", "-inf"):
         bad_time = tmp_path / "z.align"
@@ -421,6 +422,9 @@ def test_alignment_validation():
         PhonemeAlignment([PhonemeInterval("A", 0.2, 0.1)])
     with pytest.raises(ValueError):
         PhonemeAlignment([PhonemeInterval("A", -0.1, 0.1)])
+    for end in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PhonemeAlignment([PhonemeInterval("A", 0.0, end)])
     with pytest.raises(ValueError):  # overlap
         PhonemeAlignment([PhonemeInterval("A", 0.0, 0.3),
                           PhonemeInterval("B", 0.2, 0.4)])
@@ -530,6 +534,6 @@ def test_read_phoneme_labels(tmp_path):
     with pytest.raises(FileFormatError):
         read_phoneme_labels(bad)
     bad2 = tmp_path / "bad2.txt"
-    bad2.write_text("#levels v1\nangry Max\n")
-    with pytest.raises(FileFormatError):
+    bad2.write_text("#levels v1\nneutral\t-\nangry Max\n")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(bad2))}:3: "):
         read_phoneme_labels(bad2)

@@ -1,11 +1,17 @@
 """Intensity extractor: architecture invariants and the EMOM model format."""
 
+import io
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from emorank import extractor
-from emorank.binio import ChecksumError, FileFormatError
-from emorank.extractor import (ExtractorConfig, ModelParams, _expected_shapes,
+from emorank.binio import (ChecksumError, FileFormatError, read_table_section,
+                           write_table_section)
+from emorank.extractor import (EMOM_MAGIC, EMOM_VERSION, ExtractorConfig, ModelParams,
+                               _expected_shapes,
                                _position_table, classify, draw_dropout_masks,
                                forward_intensity, init_params, load_model,
                                pool, positional_encoding, project_score, save_model)
@@ -267,6 +273,35 @@ def test_save_is_deterministic(tmp_path):
     save_model(params, p1)
     save_model(params, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_tables_load_in_canonical_order_whatever_the_file_order(tmp_path):
+    # the load order fixes Adam's state order and the bytes a re-save writes
+    params = make_params()
+    params.feat_mean = np.arange(10, dtype=np.float32)
+    params.feat_std = np.full(10, 2.0, dtype=np.float32)
+    path, reordered, again = tmp_path / "m.emom", tmp_path / "r.emom", tmp_path / "a.emom"
+    save_model(params, path)
+    with open(path, "rb") as fh:
+        header, tables = read_table_section(fh, EMOM_MAGIC, EMOM_VERSION)
+    out = io.BytesIO()
+    write_table_section(out, EMOM_MAGIC, EMOM_VERSION, header, dict(reversed(tables.items())))
+    reordered.write_bytes(out.getvalue())
+    loaded, _ = load_model(reordered)
+    assert list(loaded.tensors) == list(params.tensors)
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("old, new", [(b"f4", b"f2"), (b"in_proj.b", b"in_proj.w")],
+                         ids=["unknown_dtype", "repeated_name"])
+def test_table_tags_and_names_are_checked(tmp_path, old, new):
+    path = tmp_path / "model.emom"
+    save_model(make_params(), path)
+    body = path.read_bytes()[:-4].replace(old, new, 1)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid checksum
+    with pytest.raises(FileFormatError, match="repeated or has unknown dtype"):
+        load_model(path)
 
 
 def test_load_ignores_trailing_sections(tmp_path):

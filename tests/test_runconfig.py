@@ -64,15 +64,15 @@ def test_values_of_the_wrong_type_rejected_with_key():
     assert RunConfig({"features": {"fmax_hz": 7999.5}}).doc["features"]["fmax_hz"] == 7999.5
 
 
-def test_from_file_and_bad_json(tmp_path):
+def test_load_and_bad_json(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"codebook": {"n_bins": 5}}))
-    cfg = RunConfig.from_file(path)
+    cfg = RunConfig.load(path)
     assert cfg.doc["codebook"]["n_bins"] == 5
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ConfigError):
-        RunConfig.from_file(bad)
+        RunConfig.load(bad)
     assert RunConfig.load(None).doc == RunConfig().doc
 
 
