@@ -39,7 +39,7 @@ class ChecksumError(FileFormatError):
 
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "wb", **open_kwargs):
-    """Open a fresh file beside ``path`` for writing (``mode`` "wb" or "w");
+    """Open a new file beside ``path`` for writing (``mode`` "wb" or "w");
     when the block ends normally it replaces ``path`` with one
     ``os.replace``, and when the block raises it is removed and ``path`` is
     left untouched.
@@ -70,12 +70,22 @@ def write_csv(path, header: list[str], rows):
         writer.writerows(rows)
 
 
+@contextlib.contextmanager
+def open_text(path, **open_kwargs):
+    """Open UTF-8 text to read; bytes that are not UTF-8 raise FileFormatError."""
+    with open(path, encoding="utf-8", **open_kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise FileFormatError(f"{path}: not UTF-8 text: {e}") from e
+
+
 def read_csv(path, header: list[str], parse) -> list:
     """``parse(row)`` for each non-blank row of a CSV file whose first row
     starts with ``header``, the row cut to the header's width. A missing
     header, a row narrower than it, or one that ``parse`` rejects with
     ``ValueError``, raises :class:`FileFormatError` naming ``path:line``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         got = next(reader, [])
         if got[:len(header)] != header:
@@ -119,16 +129,21 @@ class SectionWriter:
 
 
 class SectionReader:
-    """Mirror of :class:`SectionWriter`; verifies the CRC on finish."""
+    """Mirror of :class:`SectionWriter`; verifies the CRC on finish, and its
+    errors name the file it reads."""
 
     def __init__(self, fh: BinaryIO):
         self._fh = fh
         self._crc = 0
+        self._where = f"{fh.name}: " if hasattr(fh, "name") else ""
+
+    def error(self, message: str) -> FileFormatError:
+        return FileFormatError(self._where + message)
 
     def read(self, n: int) -> bytes:
         raw = self._fh.read(n)
         if len(raw) != n:
-            raise FileFormatError(f"truncated file: wanted {n} bytes, got {len(raw)}")
+            raise self.error(f"truncated file: wanted {n} bytes, got {len(raw)}")
         self._crc = zlib.crc32(raw, self._crc)
         return raw
 
@@ -143,21 +158,22 @@ class SectionReader:
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise FileFormatError(f"string is not UTF-8: {e}") from e
+            raise self.error(f"string is not UTF-8: {e}") from e
 
     def expect_magic(self, magic: bytes):
         got = self.read(len(magic))
         if got != magic:
-            raise FileFormatError(f"bad magic: expected {magic!r}, got {got!r}")
+            raise self.error(f"bad magic: expected {magic!r}, got {got!r}")
 
     def finish(self):
         expected = self._crc
         raw = self._fh.read(4)
         if len(raw) != 4:
-            raise FileFormatError("truncated file: missing checksum")
+            raise self.error("truncated file: missing checksum")
         stored = struct.unpack("<I", raw)[0]
         if stored != expected:
-            raise ChecksumError(f"checksum mismatch: stored {stored:#010x}, computed {expected:#010x}")
+            raise ChecksumError(f"{self._where}checksum mismatch: stored {stored:#010x}, "
+                                f"computed {expected:#010x}")
 
 
 def write_table_section(fh: BinaryIO, magic: bytes, version: int, header: dict,
@@ -186,12 +202,12 @@ def read_table_section(fh: BinaryIO, magic: bytes, version: int) -> tuple[dict, 
     r = SectionReader(fh)
     r.expect_magic(magic)
     if (got := r.read_u32()) != version:
-        raise FileFormatError(f"unsupported {magic.decode()} version {got}")
+        raise r.error(f"unsupported {magic.decode()} version {got}")
     text, tables = r.read_str(), {}
     for _ in range(r.read_u32()):
         name, tag = r.read_str(), r.read_str()
         if tag not in _DTYPE_TAGS or name in tables:
-            raise FileFormatError(f"table '{name}' is repeated or has unknown dtype '{tag}'")
+            raise r.error(f"table '{name}' is repeated or has unknown dtype '{tag}'")
         shape = tuple(r.read_u32() for _ in range(r.read_u32()))
         raw = r.read(int(np.prod(shape, dtype=np.int64)) * np.dtype(_DTYPE_TAGS[tag]).itemsize)
         tables[name] = np.frombuffer(raw, dtype="<" + tag).reshape(shape).copy()
@@ -201,7 +217,7 @@ def read_table_section(fh: BinaryIO, magic: bytes, version: int) -> tuple[dict, 
     except json.JSONDecodeError:
         header = None
     if not isinstance(header, dict):
-        raise FileFormatError(f"{magic.decode()} header is not a JSON object: {text[:80]!r}")
+        raise r.error(f"{magic.decode()} header is not a JSON object: {text[:80]!r}")
     return header, tables
 
 

@@ -314,7 +314,7 @@ def run_gradcheck(gc: dict, seed: int) -> tuple[dict, bool]:
     t_len = gc["time_frames"]
     pair = MixPair(x_mix_i=rng.normal(size=(t_len, ecfg.input_dim)),
                    x_mix_j=rng.normal(size=(t_len, ecfg.input_dim)),
-                   lambda_i=0.8, lambda_j=0.3, emotion_label=emotions[1], speaker_id="")
+                   lambda_i=0.8, lambda_j=0.3, emotion_label=emotions[1])
     weights = LossWeights()
 
     def loss_value() -> nm.Tensor:
@@ -442,7 +442,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: missing input: {e}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ConfigError, FileFormatError, UnicodeDecodeError) as e:  # text not UTF-8
+    except (ConfigError, FileFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except TrainingError as e:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import is_neutral
-from .binio import FileFormatError, atomic_write
+from .binio import FileFormatError, atomic_write, open_text
 from .extractor import ModelParams, classify, forward_intensity, pool, project_score
 from .numerics import Tensor
 from .training import Corpus
@@ -280,7 +280,7 @@ def load_codebook(path) -> IntensityCodebook:
     decrease, a non-finite boundary, level value or mean score, such as the
     ``NaN`` and ``Infinity`` that Python's JSON parser accepts, a level
     vector not as wide as ``neutral``) raises :class:`FileFormatError`."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
@@ -355,7 +355,7 @@ def _read_tab_lines(path, header: str, columns: tuple, parse, what: str) -> list
     """``parse(fields)`` for each non-blank line of ``columns`` tab-separated
     fields after the ``header`` line; a malformed file, or one with no line
     of ``what``, raises :class:`FileFormatError` naming ``path:line``."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = fh.readline().strip()
         if first != header:
             raise FileFormatError(f"{path}:1: expected header '{header}'; got {first!r}")

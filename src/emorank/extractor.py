@@ -64,7 +64,8 @@ class ModelParams:
     ``emotions`` maps class index to label; index 0 is always the neutral
     class. ``feat_mean``/``feat_std`` are the per-channel normalization
     statistics gathered from the training corpus, applied to raw features
-    before the first projection.
+    before the first projection. The tensors and the statistics share one
+    dtype, else ValueError.
     """
 
     def __init__(self, config: ExtractorConfig, emotions: list[str],
@@ -74,6 +75,8 @@ class ModelParams:
         if len(emotions) != config.n_emotion_classes:
             raise ValueError(f"{len(emotions)} emotion labels for "
                              f"{config.n_emotion_classes} classes")
+        if len({a.dtype for a in (*tensors.values(), feat_mean, feat_std) if a is not None}) > 1:
+            raise ValueError("tensors and feature statistics need one dtype")
         self.config = config
         self.emotions = list(emotions)
         self.tensors = tensors
@@ -103,9 +106,6 @@ class ModelParams:
     def zero_grads(self):
         for t in self.tensors.values():
             t.zero_grad()
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {name: t.grad for name, t in self.tensors.items()}
 
     def constants(self) -> "ModelParams":
         """A tape-free view for inference: the same arrays as constant
@@ -361,7 +361,10 @@ def _read_model_section(fh) -> tuple[ModelParams, dict]:
     tables = check_tables(tables, shapes, "model")
     feat_mean, feat_std = tables.pop("feat.mean", None), tables.pop("feat.std", None)
     tensors = {name: Tensor(data, requires_grad=True) for name, data in tables.items()}
-    return ModelParams(cfg, emotions, tensors, feat_mean, feat_std), header.get("meta", {})
+    try:
+        return ModelParams(cfg, emotions, tensors, feat_mean, feat_std), header.get("meta", {})
+    except ValueError as e:  # the labels are checked above: mixed dtypes
+        raise FileFormatError(f"model {e}") from e
 
 
 def load_model(path) -> tuple[ModelParams, dict]:

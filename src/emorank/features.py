@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.io.wavfile
 
-from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write
+from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write, open_text
 
 LOG_FLOOR = 1e-10
 
@@ -307,7 +307,7 @@ def load_wav(path) -> tuple[np.ndarray, int]:
 def load_pitch_csv(path) -> np.ndarray:
     """Precomputed pitch column: one F0 value in Hz per line, 0 = unvoiced."""
     values = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -355,7 +355,7 @@ def read_emof(path):
         r.expect_magic(EMOF_MAGIC)
         version = r.read_u32()
         if version != EMOF_VERSION:
-            raise FileFormatError(f"{path}: unsupported EMOF version {version}")
+            raise r.error(f"unsupported EMOF version {version}")
         t_len = r.read_u32()
         n_chan = r.read_u32()
         frame_rate = r.read_f64()

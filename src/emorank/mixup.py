@@ -18,27 +18,21 @@ from .features import FeatureMatrix
 
 @dataclass
 class MixPair:
-    """Two mixtures of the same (emotional, neutral) source pair.
-
-    ``lambda_diff`` = (lambda_i - lambda_j + 1) / 2, so it lands above 0.5
-    exactly when mixture i carries more of the emotional source, at 0.5 when
-    the weights tie, and below 0.5 otherwise.
-    """
+    """Two mixtures of the same (emotional, neutral) source pair, with the
+    emotional source's weight in each."""
 
     x_mix_i: np.ndarray
     x_mix_j: np.ndarray
     lambda_i: float
     lambda_j: float
     emotion_label: str
-    speaker_id: str
-
-    @property
-    def lambda_diff(self) -> float:
-        return normalized_lambda_diff(self.lambda_i, self.lambda_j)
 
 
 def normalized_lambda_diff(lambda_i: float, lambda_j: float) -> float:
-    """Map the weight difference from [-1, 1] onto the rank target in [0, 1]."""
+    """Map the weight difference from [-1, 1] onto the rank target in [0, 1]:
+    (lambda_i - lambda_j + 1) / 2 lands above 0.5 exactly when mixture i
+    carries more of the emotional source, at 0.5 when the weights tie, and
+    below 0.5 otherwise."""
     return (lambda_i - lambda_j + 1.0) / 2.0
 
 
@@ -93,11 +87,5 @@ def make_mix_pair(x_emo: FeatureMatrix, x_neu: FeatureMatrix,
         raise ValueError(f"channel mismatch: {x_emo.n_channels} vs {x_neu.n_channels}")
     lam_i, lam_j = lambdas if lambdas is not None else sample_lambdas(rng)
     emo, neu = align_lengths(x_emo.frames, x_neu.frames, rng)
-    return MixPair(
-        x_mix_i=_mix(emo, neu, lam_i),
-        x_mix_j=_mix(emo, neu, lam_j),
-        lambda_i=lam_i,
-        lambda_j=lam_j,
-        emotion_label=x_emo.emotion_label,
-        speaker_id=x_emo.speaker_id,
-    )
+    return MixPair(x_mix_i=_mix(emo, neu, lam_i), x_mix_j=_mix(emo, neu, lam_j),
+                   lambda_i=lam_i, lambda_j=lam_j, emotion_label=x_emo.emotion_label)

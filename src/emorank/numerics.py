@@ -17,6 +17,10 @@ counts of its segments as ``lengths`` if it reads segments. One sequence is
 a batch of one segment, one vector a batch of one row. Only the elementwise
 ops and the loss terms are shape-generic.
 
+Each gradient buffer has one owner: the sweep hands each closure its node's
+gradient and lets go of it first, :func:`_accumulate` keeps what it is
+handed, and a closure hands one buffer to at most one input.
+
 Float64 is the oracle precision (all finite-difference checks run in it);
 float32 is supported for training throughput. An op inherits the dtype of
 its inputs.
@@ -85,35 +89,30 @@ class Tensor:
     def backward(self, seed=None):
         """Accumulate d(self)/d(leaf) into ``grad`` of every reachable leaf.
 
-        ``seed`` defaults to ones, so calling it on a scalar loss gives plain
-        gradients. The sweep visits each node of :meth:`ComputeGraph.trace`
-        exactly once, in reverse topological order; a tensor that does not
-        feed ``self`` keeps a zero (None) grad. It consumes the graph: once a
-        node's closure has run, the node lets go of its gradient, closure and
-        inputs, so afterwards only leaves hold gradients and a swept graph
-        cannot be backpropagated again.
+        ``seed`` defaults to ones (a given one is copied), so calling it on a
+        scalar loss gives plain gradients. The sweep visits each node of
+        :meth:`ComputeGraph.trace` exactly once, in reverse topological order;
+        a tensor that does not feed ``self`` keeps a zero (None) grad. It
+        consumes the graph: each node lets go of its gradient, closure and
+        inputs before its closure runs, so afterwards only leaves hold
+        gradients and a swept graph cannot be backpropagated again.
 
-        Gradient ownership: every gradient buffer belongs to exactly one
-        tensor. :func:`_accumulate` copies a gradient it is handed unless its
-        caller has just created it, so no two tensors share one, and the
-        sweep hands each closure its node's own ``grad`` and drops it right
-        after. A closure may therefore overwrite the gradient it is handed
-        (an affine op's epilogue masks it in place), but must not keep it.
+        The closure owns the gradient it is handed: it may overwrite it (an
+        affine op's epilogue masks it in place) and hand it to at most one
+        input, as :func:`_accumulate` keeps what it is handed. So no two
+        tensors share a gradient buffer.
         """
         nodes = ComputeGraph.trace(self)
-        if seed is None:
-            seed = np.ones_like(self.data)
-        _accumulate(self, np.asarray(seed, dtype=self.data.dtype))
+        _accumulate(self, np.ones_like(self.data) if seed is None else np.array(seed, self.dtype))
         while nodes:
-            # popped in reverse topological order: every consumer of this node
-            # has already run and released it, so once its own closure has run
-            # its activation, closure and gradient can be freed
+            # reverse topological order: every consumer of this node has run
             node = nodes.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
             if node._parents:
+                g, backward = node.grad, node._backward
                 node.grad = node._backward = None
                 node._parents = ()
+                if g is not None:
+                    backward(g)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, op={self.op!r})"
@@ -147,19 +146,14 @@ class ComputeGraph:
         return order
 
 
-def _accumulate(t: Tensor, g, fresh: bool = False):
-    """Add ``g`` into ``t.grad``. The first gradient stored for ``t`` is a
-    copy, unless ``fresh`` says the caller has just created ``g`` and keeps
-    no other reference to it: then ``g`` itself becomes ``t.grad``. A closure
-    that passes on its incoming gradient, or a view of it, leaves ``fresh``
-    off, so no two tensors ever share a gradient buffer."""
+def _accumulate(t: Tensor, g):
+    """Add ``g`` into ``t.grad``. The first gradient of ``t`` is ``g`` itself,
+    handed over by the caller, unless ``g`` needs a cast to ``t``'s dtype."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        if fresh and isinstance(g, np.ndarray) and g.dtype == t.data.dtype:
-            t.grad = g
-        else:
-            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = g if isinstance(g, np.ndarray) and g.dtype == t.data.dtype \
+            else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -187,7 +181,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        _accumulate(a, g)
+        _accumulate(a, g.copy() if b.requires_grad else g)  # b takes g itself
         _accumulate(b, g)
 
     return _make(a.data + b.data, (a, b), "add", backward)
@@ -195,7 +189,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, -g, fresh=True)
+        _accumulate(a, -g)
 
     return _make(-a.data, (a,), "neg", backward)
 
@@ -215,7 +209,7 @@ def scale(a: Tensor, s) -> Tensor:
             raise ValueError(f"scale shape mismatch: {a.shape} vs {s.shape}")
 
     def backward(g):
-        _accumulate(a, g * s, fresh=True)
+        _accumulate(a, g * s)
 
     return _make(a.data * s, (a,), "scale", backward)
 
@@ -302,7 +296,7 @@ def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
 
     def backward(g):
-        _accumulate(a, g * (1.0 - out_data * out_data), fresh=True)
+        _accumulate(a, g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), "tanh", backward)
 
@@ -319,7 +313,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data = _sigmoid(a.data)
 
     def backward(g):
-        _accumulate(a, g * out_data * (1.0 - out_data), fresh=True)
+        _accumulate(a, g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), "sigmoid", backward)
 
@@ -388,11 +382,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = centered * inv_std
 
     def backward(g):
-        _accumulate(gain, (g * xhat).sum(axis=0), fresh=True)
-        _accumulate(bias, g.sum(axis=0), fresh=True)
+        _accumulate(gain, (g * xhat).sum(axis=0))
+        _accumulate(bias, g.sum(axis=0))
         gx = g * gain.data
         term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, term * inv_std, fresh=True)
+        _accumulate(a, term * inv_std)
 
     return _make(xhat * gain.data + bias.data, (a, gain, bias), "layer_norm", backward)
 
@@ -518,13 +512,13 @@ def _affine(x: Tensor, w: Tensor, bias: Tensor | None, k: int, cross, op: str, *
         if relu:
             g *= out_data > 0
         if x.requires_grad:
-            _accumulate(x, _conv_input_grad(g, w2d, k, cross), fresh=True)
+            _accumulate(x, _conv_input_grad(g, w2d, k, cross))
         if w.requires_grad:
             # the same rows in the same layout as slices of the whole matrix
             cols = functools.partial(_im2col, x.data, k, cross)
-            _accumulate(w, _weight_grad(cols, g).reshape(w.shape), fresh=True)
+            _accumulate(w, _weight_grad(cols, g).reshape(w.shape))
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0), fresh=True)
+            _accumulate(bias, g.sum(axis=0))
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _make(out_data, parents, op, backward)
@@ -625,9 +619,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths) -> Tensor:
             heads(gq, *run)[...] = _segment_chunked_matmul(gs, heads(k.data, *run))
             heads(gk, *run)[...] = _segment_chunked_matmul(gs.transpose(0, 1, 3, 2),
                                                            heads(q.data, *run))
-        _accumulate(q, gq, fresh=True)
-        _accumulate(k, gk, fresh=True)
-        _accumulate(v, gv, fresh=True)
+        _accumulate(q, gq)
+        _accumulate(k, gk)
+        _accumulate(v, gv)
 
     return _make(out_data, (q, k, v), "attention", backward)
 
@@ -645,7 +639,7 @@ def take_rows(a: Tensor, index) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         np.add.at(full, index, g)
-        _accumulate(a, full, fresh=True)
+        _accumulate(a, full)
 
     return _make(np.take(a.data, index, axis=0), (a,), "take_rows", backward)
 
@@ -673,7 +667,7 @@ def mean_over_time(x: Tensor, lengths) -> Tensor:
         for lo, hi, n, seg in runs:
             gx[lo:hi].reshape(n, seg, c)[...] = (g[first:first + n] / seg)[:, None, :]
             first += n
-        _accumulate(x, gx, fresh=True)
+        _accumulate(x, gx)
 
     return _make(out_data, (x,), "mean_over_time", backward)
 
@@ -682,7 +676,7 @@ def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g / n, a.shape))
+        _accumulate(a, np.broadcast_to(g / n, a.shape).copy())
 
     return _make(a.data.mean(), (a,), "mean_all", backward)
 
@@ -701,7 +695,7 @@ def pick(a: Tensor, index) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[rows, cols] = g
-        _accumulate(a, full, fresh=True)
+        _accumulate(a, full)
 
     return _make(a.data[rows, cols], (a,), "pick", backward)
 
@@ -730,7 +724,7 @@ def soft_cross_entropy(logits: Tensor, target) -> Tensor:
 
     def backward(g):
         _accumulate(logits, g[..., None] * (np.exp(ls) * target.sum(axis=-1, keepdims=True)
-                                            - target), fresh=True)
+                                            - target))
 
     return _make(-(target * ls).sum(axis=-1), (logits,), "soft_cross_entropy", backward)
 
@@ -748,7 +742,7 @@ def bce_with_logits(d: Tensor, target) -> Tensor:
     target = np.broadcast_to(np.asarray(target, dtype=x.dtype), x.shape)
 
     def backward(g):
-        _accumulate(d, g * (_sigmoid(x) - target), fresh=True)
+        _accumulate(d, g * (_sigmoid(x) - target))
 
     return _make(np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x))) - target * x, (d,),
                  "bce_with_logits", backward)
@@ -764,29 +758,25 @@ _ADAM_BLOCK = 1 << 16
 
 
 class AdamState:
-    """First/second moment buffers plus the bias-correction step counter:
-    zero moments for every tensor of ``params``, or the moments ``m`` and
-    ``v`` (given together) and the ``step`` a resumed run saved."""
+    """First/second moment buffers, the bias-correction step counter and two
+    reused scratch blocks: zero moments for every tensor of ``params``, or the
+    ``m``, ``v`` (given together) and ``step`` a resumed run saved. Parameters
+    and moments share one dtype, else ValueError."""
 
     def __init__(self, params: dict, *, m: dict | None = None, v: dict | None = None,
                  step: int = 0):
+        dtype = next(iter(params.values())).dtype
         if m is None:
             # np.zeros takes zeroed pages from the allocator; zeros_like
             # would write every zero
-            m = {name: np.zeros(p.shape, p.dtype) for name, p in params.items()}
-            v = {name: np.zeros(p.shape, p.dtype) for name, p in params.items()}
+            m = {name: np.zeros(p.shape, dtype) for name, p in params.items()}
+            v = {name: np.zeros(p.shape, dtype) for name, p in params.items()}
+        dtypes = {str(a.dtype) for a in (*params.values(), *m.values(), *v.values())}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam parameters and moments need one dtype, got {sorted(dtypes)}")
         self.m, self.v, self.step = m, v, step
-        self._work: dict = {}  # dtype -> two scratch blocks reused every step
-
-    def _work_buffers(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two scratch blocks of ``like``'s dtype, sharing memory across steps
-        and parameters (grown to at most ``_ADAM_BLOCK`` elements)."""
-        size = min(like.size, _ADAM_BLOCK)
-        bufs = self._work.get(like.dtype)
-        if bufs is None or bufs[0].size < size:
-            bufs = self._work[like.dtype] = (np.empty(size, like.dtype),
-                                             np.empty(size, like.dtype))
-        return bufs
+        size = min(max(p.data.size for p in params.values()), _ADAM_BLOCK)
+        self._scratch = (np.empty(size, dtype), np.empty(size, dtype))
 
 
 def _flat_view(arr: np.ndarray) -> np.ndarray:
@@ -796,36 +786,37 @@ def _flat_view(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
+def adam_step(params: dict, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     """One Adam update with bias correction, applied in place.
 
-    ``params`` maps names to Tensors; ``grads`` maps the same names to arrays
-    (typically ``tensor.grad``). Raises :class:`NonFiniteError` on a NaN/Inf
-    gradient. Returns the mutated ``(params, state)`` pair.
+    ``params`` maps names to Tensors, each updated from its own ``grad``; a
+    tensor whose ``grad`` is None is skipped, moments and all. Raises
+    :class:`NonFiniteError` on a NaN/Inf gradient. Returns the mutated
+    ``(params, state)`` pair.
 
     Every element goes through the same operation sequence as
     ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)`` and
     ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, but block by block
-    (``_ADAM_BLOCK`` elements) into two reused scratch blocks, so the result
-    is bitwise that formula's without its parameter-sized temporaries.
+    (``_ADAM_BLOCK`` elements) into the state's two scratch blocks, so the
+    result is bitwise that formula's without its parameter-sized
+    temporaries.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for name, p in params.items():
-        g = grads[name]
+        g = p.grad
         if g is None:
             continue
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
         flat = (np.ravel(g), _flat_view(state.m[name]), _flat_view(state.v[name]),
                 _flat_view(p.data))
-        work = state._work_buffers(p.data)
         for lo in range(0, g.size, _ADAM_BLOCK):
             gb, m, v, pb = (x[lo:lo + _ADAM_BLOCK] for x in flat)
-            a, b = (w[:gb.size] for w in work)
+            a, b = (w[:gb.size] for w in state._scratch)
             np.subtract(gb, m, out=a)
             np.multiply(a, 1.0 - beta1, out=a)
             m += a

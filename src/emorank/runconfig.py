@@ -136,8 +136,8 @@ class RunConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 document = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
+                raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
         return cls(document)
 
     def config_hash(self) -> str:

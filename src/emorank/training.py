@@ -190,7 +190,6 @@ def _init_rng(seed: int) -> np.random.Generator:
 class TrainResult:
     params: ModelParams
     trace: np.ndarray  # (iterations, 4): iteration, l_mixup, l_rank, l_total
-    adam: AdamState
 
 
 def pair_losses(params: ModelParams, pairs: list[MixPair], *,
@@ -292,8 +291,7 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
             if not np.isfinite(l_total.item()):
                 raise NonFiniteError("loss is not finite")
             l_total.backward()
-            nm.adam_step(params.tensors, params.grads(), adam,
-                         train_cfg.learning_rate)
+            nm.adam_step(params.tensors, adam, train_cfg.learning_rate)
         except NonFiniteError as e:
             pairs = "; ".join(f"({ei}, {ni}, l_i={li:.4f}, l_j={lj:.4f})"
                               for ei, ni, li, lj in diag)
@@ -313,7 +311,7 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
                             train_cfg, path)
 
     trace = np.asarray(trace_rows, dtype=np.float64).reshape(len(trace_rows), 4)
-    return TrainResult(params=params, trace=trace, adam=adam)
+    return TrainResult(params=params, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +347,11 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
     shapes = {f"adam.{kind}.{name}": t.data.shape
               for kind in "mv" for name, t in params.tensors.items()}
     tables = check_tables(tables, {**shapes, "trace": (None, 4)}, where)
-    adam = AdamState(params.tensors, step=meta["adam_step"],
-                     m={name: tables["adam.m." + name] for name in params.tensors},
-                     v={name: tables["adam.v." + name] for name in params.tensors})
+    m, v = ({name: tables[f"adam.{kind}.{name}"] for name in params.tensors} for kind in "mv")
+    try:
+        adam = AdamState(params.tensors, m=m, v=v, step=meta["adam_step"])
+    except ValueError as e:  # the shapes are checked above: moments of another dtype
+        raise FileFormatError(f"{where}: {e}") from e
     return params, adam, meta, tables["trace"]
 
 

@@ -8,7 +8,9 @@ log-softmax and pick chain, or take_rows for 1-D logits, and the rank term as
 a sigmoid, clip, log chain) and the elementwise product and full sum that the
 finite-difference tests read gradients through. They record their nodes
 with ``nm._make`` and send gradients through ``nm._accumulate``, so they join
-a library graph like any library op.
+a library graph like any library op. ``_accumulate`` keeps the buffer it is
+handed, so an op that passes on its incoming gradient, or a view of it,
+passes a copy.
 """
 
 import numpy as np
@@ -26,8 +28,8 @@ def add(a, b):
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        nm._accumulate(a, g)
-        nm._accumulate(b, g.sum(axis=0), fresh=True)
+        nm._accumulate(a, g.copy())
+        nm._accumulate(b, g.sum(axis=0))
 
     return nm._make(a.data + b.data, (a, b), "add", backward)
 
@@ -38,22 +40,22 @@ def mul(a, b):
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        nm._accumulate(a, g * b.data, fresh=True)
-        nm._accumulate(b, g * a.data, fresh=True)
+        nm._accumulate(a, g * b.data)
+        nm._accumulate(b, g * a.data)
 
     return nm._make(a.data * b.data, (a, b), "mul", backward)
 
 
 def sum_all(a):
     def backward(g):
-        nm._accumulate(a, np.broadcast_to(g, a.shape))
+        nm._accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return nm._make(a.data.sum(), (a,), "sum_all", backward)
 
 
 def transpose(a):
     def backward(g):
-        nm._accumulate(a, g.T)
+        nm._accumulate(a, g.T.copy())
 
     return nm._make(a.data.T, (a,), "transpose", backward)
 
@@ -65,7 +67,7 @@ def slice_cols(a, lo: int, hi: int):
     def backward(g):
         full = np.zeros_like(a.data)
         full[..., lo:hi] = g
-        nm._accumulate(a, full, fresh=True)
+        nm._accumulate(a, full)
 
     return nm._make(a.data[..., lo:hi].copy(), (a,), "slice_cols", backward)
 
@@ -76,7 +78,7 @@ def concat_cols(parts):
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            nm._accumulate(p, g[..., lo:hi])
+            nm._accumulate(p, g[..., lo:hi].copy())
 
     return nm._make(np.concatenate([p.data for p in parts], axis=-1), parts,
                     "concat_cols", backward)
@@ -86,7 +88,7 @@ def relu(a):
     mask = a.data > 0
 
     def backward(g):
-        nm._accumulate(a, g * mask, fresh=True)
+        nm._accumulate(a, g * mask)
 
     return nm._make(a.data * mask, (a,), "relu", backward)
 
@@ -100,7 +102,7 @@ def dropout(a, p: float, *, keep):
         return a
 
     def backward(g):
-        nm._accumulate(a, g * (keep * c), fresh=True)
+        nm._accumulate(a, g * (keep * c))
 
     return nm._make(a.data * (keep * c), (a,), "dropout", backward)
 
@@ -114,7 +116,7 @@ def softmax(a, axis: int = -1):
 
     def backward(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
-        nm._accumulate(a, out_data * (g - inner), fresh=True)
+        nm._accumulate(a, out_data * (g - inner))
 
     return nm._make(out_data, (a,), "softmax", backward)
 
@@ -128,14 +130,14 @@ def log_softmax(a, axis: int = -1):
     soft = np.exp(out_data)
 
     def backward(g):
-        nm._accumulate(a, g - soft * g.sum(axis=axis, keepdims=True), fresh=True)
+        nm._accumulate(a, g - soft * g.sum(axis=axis, keepdims=True))
 
     return nm._make(out_data, (a,), "log_softmax", backward)
 
 
 def log(a):
     def backward(g):
-        nm._accumulate(a, g / a.data, fresh=True)
+        nm._accumulate(a, g / a.data)
 
     return nm._make(np.log(a.data), (a,), "log", backward)
 
@@ -145,14 +147,14 @@ def clip(a, lo: float, hi: float):
     inside = (a.data >= lo) & (a.data <= hi)
 
     def backward(g):
-        nm._accumulate(a, g * inside, fresh=True)
+        nm._accumulate(a, g * inside)
 
     return nm._make(np.clip(a.data, lo, hi), (a,), "clip", backward)
 
 
 def add_const(a, c: float):
     def backward(g):
-        nm._accumulate(a, g)
+        nm._accumulate(a, g.copy())
 
     return nm._make(a.data + c, (a,), "add_const", backward)
 

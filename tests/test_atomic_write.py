@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import emorank
-from emorank import cli, synthcorpus, training
-from emorank.binio import SectionWriter, atomic_write
+from emorank import cli, codebook, features, synthcorpus, training
+from emorank.binio import FileFormatError, SectionWriter, atomic_write
 from emorank.cli import main, provenance, write_provenance
 from emorank.codebook import (IntensityCodebook, PhonemeAlignment, PhonemeInterval,
                               save_codebook, write_alignment)
@@ -20,7 +20,7 @@ from emorank.evalmetrics import MetricReport
 from emorank.extractor import ExtractorConfig, init_params, save_model
 from emorank.features import write_emof
 from emorank.numerics import AdamState
-from emorank.runconfig import RunConfig
+from emorank.runconfig import ConfigError, RunConfig
 from emorank.training import TrainConfig, save_checkpoint, write_trace_csv
 
 
@@ -208,6 +208,22 @@ def test_failed_score_csv_keeps_previous_file(tmp_path, monkeypatch):
         main(argv)
     assert path.read_bytes() == before
     assert sorted(os.listdir(out)) == names
+
+
+@pytest.mark.parametrize("read, text, error", [
+    (synthcorpus.load_metadata, ",".join(synthcorpus.METADATA_HEADER) + "\nu\xff,s,angry,0.5\n",
+     FileFormatError),
+    (codebook.read_phoneme_labels, "#levels v1\nangry\tMin\n\xff\tMax\n", FileFormatError),
+    (codebook.load_codebook, '{"neutral": [0.0], "\xff": {}}', FileFormatError),
+    (features.load_pitch_csv, "100.0\n\xff\n", FileFormatError),
+    (RunConfig.load, '{"seed": "\xff"}', ConfigError),
+], ids=["metadata_csv", "phoneme_labels", "codebook", "pitch_csv", "run_config"])
+def test_text_readers_reject_bytes_that_are_not_utf8(tmp_path, read, text, error):
+    path = tmp_path / "text"
+    path.write_bytes(text.encode("latin-1"))  # one byte per character: 0xff stays bare
+    with pytest.raises(error, match="UTF-8") as info:
+        read(str(path))
+    assert str(path) in str(info.value)
 
 
 def _in_place_writes(source: str) -> list[int]:

@@ -155,8 +155,11 @@ def keep(header, tables):
     (lambda meta, t: meta.pop("iteration"), "iteration"),
     (lambda meta, t: meta.pop("adam_step"), "adam_step"),
     (lambda meta, t: meta.pop("train_config"), "train_config"),
+    # moments of the parameters' dtype, not f8 moments for f4 parameters
+    (lambda meta, t: t.update({k: v.astype(np.float64) for k, v in t.items()
+                               if k.startswith("adam.m.")}), "moments need one dtype"),
 ], ids=["m_flat", "v_too_tall", "m_missing", "trace_missing", "trace_3_wide",
-        "unexpected_table", "no_iteration", "no_adam_step", "no_train_config"])
+        "unexpected_table", "no_iteration", "no_adam_step", "no_train_config", "m_f8"])
 def test_resume_rejects_malformed_moment_tables(pipeline, tmp_path, capsys, edit, named):
     ckpt = tmp_path / "ckpt"
     assert main(["train", "--config", pipeline["cfg"], pipeline["corpus"],
@@ -366,34 +369,51 @@ def test_condition_unknown_emotion(codebook_path, tmp_path):
     assert main(["condition", codebook_path, str(labels), str(out)]) == 5
 
 
+def _label_not_utf8(emof):
+    # the label's first byte becomes 0xff, under a valid checksum
+    emotion = read_emof(emof)[2].encode()
+    body = emof.read_bytes()[:-4].replace(emotion, b"\xff" + emotion[1:], 1)
+    emof.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _frames(edit):
+    def rewrite(emof):
+        frames, *rest = read_emof(emof)
+        write_emof(emof, edit(frames), *rest)
+    return rewrite
+
+
+def _raw(edit):
+    return lambda emof: emof.write_bytes(edit(emof.read_bytes()))
+
+
 @pytest.mark.parametrize("command, edit, message", [
-    ("mcd", None, "not UTF-8"),
-    ("train", None, "not UTF-8"),
-    ("train", lambda f: np.vstack([f, np.full((1, f.shape[1]), np.nan)]), "non-finite"),
-    ("train", lambda f: np.vstack([f, np.full((1, f.shape[1]), -1.0)]), "negative pitch"),
-    ("train", lambda f: f[:, :2], "C>=3"),
+    ("mcd", _label_not_utf8, "not UTF-8"),
+    ("train", _label_not_utf8, "not UTF-8"),
+    ("train", _frames(lambda f: np.vstack([f, np.full((1, f.shape[1]), np.nan)])),
+     "non-finite"),
+    ("train", _frames(lambda f: np.vstack([f, np.full((1, f.shape[1]), -1.0)])),
+     "negative pitch"),
+    ("train", _frames(lambda f: f[:, :2]), "C>=3"),
+    ("train", _raw(lambda raw: raw[:len(raw) // 2]), "truncated file"),
+    ("mcd", _raw(lambda raw: b"JUNK" + raw[4:]), "bad magic"),
+    ("train", _raw(lambda raw: raw[:-1] + bytes([raw[-1] ^ 1])), "checksum mismatch"),
 ], ids=["mcd_label_not_utf8", "label_not_utf8", "nan_frame", "negative_pitch",
-        "two_channels"])
+        "two_channels", "truncated", "bad_magic", "bad_checksum"])
 def test_malformed_emof_exits_4_and_writes_nothing(pipeline, tmp_path, capsys, command,
                                                    edit, message):
     corpus, out = tmp_path / "corpus", tmp_path / "out"
     shutil.copytree(pipeline["corpus"], corpus)
     out.mkdir()
     emof = corpus / sorted(p for p in os.listdir(corpus) if p.endswith(".emof"))[0]
-    frames, rate, emotion, speaker, source = read_emof(emof)
-    if edit is None:
-        # the label's first byte becomes 0xff, under a valid checksum
-        raw = emof.read_bytes()
-        body = raw[:-4].replace(emotion.encode(), b"\xff" + emotion.encode()[1:], 1)
-        emof.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    else:
-        write_emof(emof, edit(frames), rate, emotion, speaker, source)
+    edit(emof)
     args = {"mcd": [str(emof), str(emof), "--out", str(out / "mcd.json")],
             "train": [str(corpus), str(out / "m.emom"), "--checkpoint-dir",
                       str(out / "ckpt")]}[command]
     capsys.readouterr()
     assert main([command, "--config", pipeline["cfg"], *args]) == 4
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and str(emof) in err, err
     assert os.listdir(out) == []
 
 
@@ -717,7 +737,11 @@ def test_bad_config_in_model_header_exits_4(pipeline, tmp_path, capsys, edit, me
     (lambda h, t: t.pop("feat.mean"), "'feat.mean' missing"),
     (lambda h, t: t.update({"feat.mean": t["feat.mean"][:5]}), "'feat.mean' (5,)"),
     (lambda h, t: t.update({"feat.std": t["feat.std"][None]}), "'feat.std' (1, 82)"),
-], ids=["mean_only", "std_only", "mean_short", "std_2d"])
+    # every table of a model has the model's one dtype
+    (lambda h, t: t.update({"cls.b": t["cls.b"].astype(np.float64)}), "one dtype"),
+    (lambda h, t: t.update({k: t[k].astype(np.float64) for k in ("feat.mean", "feat.std")}),
+     "one dtype"),
+], ids=["mean_only", "std_only", "mean_short", "std_2d", "f8_param_table", "f8_feat_stats"])
 def test_bad_feature_stats_in_model_exit_4(pipeline, tmp_path, capsys, edit, named):
     model = tmp_path / "bad.emom"
     shutil.copy(pipeline["model"], model)

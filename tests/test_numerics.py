@@ -292,8 +292,7 @@ def test_gradients_nobody_receives_are_not_formed(monkeypatch):
         for t in trainable:
             t.zero_grad()
         sent = []
-        monkeypatch.setattr(nm, "_accumulate", lambda t, g, fresh=False: (
-            sent.append(t), accumulate(t, g, fresh)))
+        monkeypatch.setattr(nm, "_accumulate", lambda t, g: (sent.append(t), accumulate(t, g)))
         weighted_sum(out, 3).backward()
         monkeypatch.setattr(nm, "_accumulate", accumulate)
         assert not any(t is c for t in sent for c in constants)
@@ -317,6 +316,8 @@ def test_elementwise_and_reduction_grads(seed):
     fd_check(lambda: weighted_sum(nm.tanh(a), w), [a])
     fd_check(lambda: weighted_sum(nm.sigmoid(a), w), [a])
     fd_check(lambda: nm.mean_all(ops.mul(a, b)), [a, b])
+    # two gradients into one leaf: the second adds into the first one stored
+    fd_check(lambda: nm.add(nm.mean_all(a), nm.mean_all(a)), [a])
 
 
 def test_add_row_broadcast_grad():
@@ -641,7 +642,8 @@ def _single_param(value: float):
 def test_adam_zero_gradient_leaves_params_unchanged():
     params, p = _single_param(1.0)
     state = AdamState(params)
-    adam_step(params, {"w": np.zeros(1)}, state, lr=0.1)
+    p.grad = np.zeros(1)
+    adam_step(params, state, lr=0.1)
     np.testing.assert_array_equal(p.data, [1.0])
 
 
@@ -649,7 +651,8 @@ def test_adam_first_step_moves_by_lr_against_gradient_sign():
     # f(w) = w^2 at w=1: grad 2; first bias-corrected step is -lr * sign(g)
     params, p = _single_param(1.0)
     state = AdamState(params)
-    adam_step(params, {"w": np.array([2.0])}, state, lr=0.1)
+    p.grad = np.array([2.0])
+    adam_step(params, state, lr=0.1)
     assert p.data[0] == pytest.approx(0.9, abs=1e-9)
 
 
@@ -657,52 +660,55 @@ def test_adam_converges_on_quadratic():
     params, p = _single_param(0.0)
     state = AdamState(params)
     for _ in range(200):
-        grad = 2.0 * (p.data - 3.0)
-        adam_step(params, {"w": grad}, state, lr=0.1)
+        p.grad = 2.0 * (p.data - 3.0)
+        adam_step(params, state, lr=0.1)
     assert abs(p.data[0] - 3.0) < 1e-2
 
 
 def test_adam_rejects_non_finite_gradient():
-    params, _ = _single_param(1.0)
+    params, p = _single_param(1.0)
     state = AdamState(params)
+    p.grad = np.array([np.nan])
     with pytest.raises(NonFiniteError):
-        adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1)
+        adam_step(params, state, lr=0.1)
 
 
 def test_adam_skips_none_gradients():
     params, p = _single_param(2.0)
     state = AdamState(params)
-    adam_step(params, {"w": None}, state, lr=0.1)
+    adam_step(params, state, lr=0.1)
     np.testing.assert_array_equal(p.data, [2.0])
+    np.testing.assert_array_equal(state.m["w"], [0.0])
 
 
-def _adam_reference(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def _adam_reference(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """The allocating Adam formula the in-place update must reproduce bitwise."""
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step
     for name, p in params.items():
-        g, m, v = grads[name], state.m[name], state.v[name]
+        g, m, v = p.grad, state.m[name], state.v[name]
         m += (1.0 - beta1) * (g - m)
         v += (1.0 - beta2) * (g * g - v)
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def _assert_adam_is_bitwise_the_formula(shapes, dtype, steps):
-    def fresh():
+    def initial():
         rng_init = np.random.default_rng(12)
         params = {n: Tensor(rng_init.normal(size=s).astype(dtype), requires_grad=True)
                   for n, s in shapes.items()}
         return params, AdamState(params)
 
     rng = np.random.default_rng(11)
-    p_new, s_new = fresh()
-    p_ref, s_ref = fresh()
+    p_new, s_new = initial()
+    p_ref, s_ref = initial()
     for _ in range(steps):
-        grads = {n: (rng.normal(size=s) * 10.0 ** rng.integers(-4, 3)).astype(dtype)
-                 for n, s in shapes.items()}
-        adam_step(p_new, grads, s_new, lr=3e-3)
-        _adam_reference(p_ref, grads, s_ref, lr=3e-3)
+        for n, s in shapes.items():
+            g = (rng.normal(size=s) * 10.0 ** rng.integers(-4, 3)).astype(dtype)
+            p_new[n].grad, p_ref[n].grad = g, g.copy()
+        adam_step(p_new, s_new, lr=3e-3)
+        _adam_reference(p_ref, s_ref, lr=3e-3)
     for n in shapes:
         assert p_new[n].data.dtype == dtype
         np.testing.assert_array_equal(p_new[n].data, p_ref[n].data)
@@ -721,11 +727,30 @@ def test_adam_blocks_are_bitwise_the_whole_array_formula(dtype):
     shapes = {"below": (n - 1,), "at": (n,), "above": (n + 1,), "many": (3, n // 2 + 3),
               "one": (1,)}
     _assert_adam_is_bitwise_the_formula(shapes, dtype, 5)
-    # the scratch is one block, not the largest parameter
-    state = AdamState({name: Tensor(np.zeros(s, dtype)) for name, s in shapes.items()})
-    adam_step({"many": Tensor(np.zeros(shapes["many"], dtype))},
-              {"many": np.ones(shapes["many"], dtype)}, state, lr=1e-3)
-    assert [b.size for b in state._work[np.dtype(dtype)]] == [n, n]
+
+    # the scratch pair is allocated once, in the state: one block, not the
+    # largest parameter, or the largest parameter when that is smaller
+    def scratch_sizes(sizes):
+        params = {str(i): Tensor(np.zeros(size, dtype), requires_grad=True)
+                  for i, size in enumerate(sizes)}
+        state = AdamState(params)
+        scratch = state._scratch
+        for t in params.values():
+            t.grad = np.ones(t.shape, dtype)
+        adam_step(params, state, lr=1e-3)
+        assert state._scratch is scratch
+        assert all(b.dtype == dtype for b in scratch)
+        return [b.size for b in scratch]
+
+    assert scratch_sizes([n + 1, 1]) == [n, n]
+    assert scratch_sizes([5, 17, 3]) == [17, 17]
+    # one dtype per state: mixed parameters, or moments of another dtype, raise
+    other = np.float64 if dtype == np.float32 else np.float32
+    with pytest.raises(ValueError, match="one dtype"):
+        AdamState({"a": Tensor(np.zeros(3, dtype)), "b": Tensor(np.zeros(3, other))})
+    with pytest.raises(ValueError, match="one dtype"):
+        AdamState({"a": Tensor(np.zeros(3, dtype))}, m={"a": np.zeros(3, other)},
+                  v={"a": np.zeros(3, dtype)})
 
 
 def test_finite_difference_restores_values():

@@ -43,6 +43,10 @@ def test_tracer_installs_counts_ops_and_uninstalls(monkeypatch):
         for phase in ("fwd", "bwd"):
             assert f"numerics.{op}.{phase}" in tracer.spans, (op, phase)
     assert "codebook.score_corpus" in tracer.spans
+    # spans exist from install on; each of these must also have been entered,
+    # or perfbench's adam_step_ms, backward_ms and trace_ms read 0
+    for span in ("numerics.adam_step", "numerics.backward", "numerics.trace"):
+        assert tracer.spans[span][1] > 0.0, span
     for owner, attrs in zip(owners, before):
         for name, value in attrs.items():
             assert vars(owner)[name] is value, (owner.__name__, name)
