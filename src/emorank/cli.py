@@ -42,7 +42,7 @@ from .evalmetrics import mcd_report, mel_cepstra
 from .runconfig import ConfigError, RunConfig, describe_defaults
 from .synthcorpus import generate, save_corpus, spec_digest
 from .training import (Corpus, TrainingError, corpus_digest, load_corpus,
-                       pair_losses, train_rank_model, write_trace_csv)
+                       pair_losses, train_steps, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 3
@@ -171,17 +171,19 @@ def cmd_train(args, cfg: RunConfig, seed: int) -> int:
     ecfg = cfg.extractor_config()
     if args.checkpoint_dir:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
-    result = train_rank_model(corpus, ecfg, tcfg,
-                              checkpoint_dir=args.checkpoint_dir,
-                              resume_from=args.resume,
-                              log_every=args.log_every)
-    save_model(result.params, args.out,
+    for params, rows in train_steps(corpus, ecfg, tcfg, checkpoint_dir=args.checkpoint_dir,
+                                    resume_from=args.resume):
+        k, l_mix, l_rank, l_total = rows[-1]
+        if args.log_every and (k + 1) % args.log_every == 0:
+            print(f"iter {k + 1}/{tcfg.iterations}  l_mixup={l_mix:.4f}  "
+                  f"l_rank={l_rank:.4f}  l_total={l_total:.4f}", flush=True)
+    save_model(params, args.out,
                meta={"config_hash": cfg.config_hash(), "seed": seed,
                      "iterations": tcfg.iterations})
     loss_csv = args.loss_csv or (os.path.splitext(args.out)[0] + "_loss.csv")
-    write_trace_csv(result.trace, loss_csv)
+    write_trace_csv(rows, loss_csv)
     print(f"trained {tcfg.iterations} iterations; "
-          f"final l_total={result.trace[-1, 3]:.6f}; "
+          f"final l_total={l_total:.6f}; "
           f"model -> {args.out}; loss trace -> {loss_csv}")
     write_provenance(args.out, provenance(
         "train", cfg, seed,
@@ -392,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--log-every", type=int, default=0)
+    p.add_argument("--log-every", type=int, default=0,
+                   help="print the loss row every N iterations (0: never)")
     p.set_defaults(func=cmd_train)
 
     p = add("score", "score utterances with a trained model")

@@ -65,7 +65,7 @@ class ModelParams:
     class. ``feat_mean``/``feat_std`` are the per-channel normalization
     statistics gathered from the training corpus, applied to raw features
     before the first projection. The tensors and the statistics share one
-    dtype, else ValueError.
+    dtype, else ValueError, also when the statistics are assigned later.
     """
 
     def __init__(self, config: ExtractorConfig, emotions: list[str],
@@ -75,13 +75,19 @@ class ModelParams:
         if len(emotions) != config.n_emotion_classes:
             raise ValueError(f"{len(emotions)} emotion labels for "
                              f"{config.n_emotion_classes} classes")
-        if len({a.dtype for a in (*tensors.values(), feat_mean, feat_std) if a is not None}) > 1:
-            raise ValueError("tensors and feature statistics need one dtype")
+        if len({t.dtype for t in tensors.values()}) > 1:
+            raise ValueError("tensors need one dtype")
         self.config = config
         self.emotions = list(emotions)
         self.tensors = tensors
         self.feat_mean = feat_mean
         self.feat_std = feat_std
+
+    def __setattr__(self, name, value):
+        if name in ("feat_mean", "feat_std") and value is not None and value.dtype != self.dtype:
+            raise ValueError(f"tensors and feature statistics need one dtype: "
+                             f"{name} is {value.dtype}, tensors are {self.dtype}")
+        super().__setattr__(name, value)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -346,25 +352,26 @@ def _write_model_section(fh, params: ModelParams, meta: dict | None):
 
 def _read_model_section(fh) -> tuple[ModelParams, dict]:
     header, tables = read_table_section(fh, EMOM_MAGIC, EMOM_VERSION)
+    where = f"model {fh.name}"
     try:
         cfg = ExtractorConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as e:  # missing, unknown key, bad value
-        raise FileFormatError(f"model header has no valid extractor config: {e!r}") from e
+        raise FileFormatError(f"{where} header has no valid extractor config: {e!r}") from e
     emotions = header.get("emotions")
     if not (isinstance(emotions, list) and len(emotions) == cfg.n_emotion_classes
             and all(isinstance(e, str) for e in emotions)):
-        raise FileFormatError(f"model header needs {cfg.n_emotion_classes} emotion "
+        raise FileFormatError(f"{where} header needs {cfg.n_emotion_classes} emotion "
                               f"labels, got {emotions!r}")
     shapes = _expected_shapes(cfg)
     if tables.keys() & {"feat.mean", "feat.std"}:  # both or neither
         shapes.update({"feat.mean": (cfg.input_dim,), "feat.std": (cfg.input_dim,)})
-    tables = check_tables(tables, shapes, "model")
+    tables = check_tables(tables, shapes, where)
     feat_mean, feat_std = tables.pop("feat.mean", None), tables.pop("feat.std", None)
     tensors = {name: Tensor(data, requires_grad=True) for name, data in tables.items()}
     try:
         return ModelParams(cfg, emotions, tensors, feat_mean, feat_std), header.get("meta", {})
     except ValueError as e:  # the labels are checked above: mixed dtypes
-        raise FileFormatError(f"model {e}") from e
+        raise FileFormatError(f"{where}: {e}") from e
 
 
 def load_model(path) -> tuple[ModelParams, dict]:

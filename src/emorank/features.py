@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,7 +295,10 @@ def load_wav(path) -> tuple[np.ndarray, int]:
 
     Accepts 16-bit integer or float32 encodings.
     """
-    sr, data = scipy.io.wavfile.read(path)
+    try:
+        sr, data = scipy.io.wavfile.read(path)
+    except struct.error as e:  # scipy unpacks a header cut short without a check
+        raise FileFormatError(f"{path}: truncated WAV header: {e}") from e
     if data.ndim != 1:
         raise FileFormatError(f"{path}: expected mono audio, got {data.ndim} channels")
     if data.dtype == np.int16:

@@ -233,24 +233,20 @@ def _batch_losses(params: ModelParams, corpus: Corpus, cfg: TrainConfig,
     return pair_losses(params, pairs, dropout_masks=masks)
 
 
-def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
-                     train_cfg: TrainConfig, *,
-                     params: ModelParams | None = None,
-                     checkpoint_dir=None,
-                     resume_from=None,
-                     log_every: int = 0) -> TrainResult:
-    """Run the full optimization loop and return the trained model.
+def train_steps(corpus: Corpus, extractor_cfg: ExtractorConfig, train_cfg: TrainConfig, *,
+                checkpoint_dir=None, resume_from=None):
+    """Run the optimization loop, yielding ``(params, rows)`` after each
+    iteration: the live model and the loss rows so far, this iteration's
+    ``(iteration, l_mixup, l_rank, l_total)`` row last. Later steps update
+    both in place, so copy what you keep. A checkpoint due at an iteration
+    is written before that iteration's step is yielded.
 
     Pass ``resume_from`` (a checkpoint path) to continue an interrupted run;
-    the result is identical to never having stopped. The run that wrote the
+    the steps are identical to never having stopped. The run that wrote the
     checkpoint must have had the same train and extractor configs, except
     for ``iterations``, ``checkpoint_every`` and the class count; any other
-    difference raises ValueError naming each differing key. ``params`` lets
-    tests inject pre-built parameters; normally they are initialized from the
-    seed.
+    difference raises ValueError naming each differing key.
     """
-    if log_every < 0:
-        raise ValueError(f"log_every must be >= 0, got {log_every}")
     weights = train_cfg.loss_weights
     start_iter = 0
     trace_rows: list[tuple] = []
@@ -265,13 +261,12 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
             raise ValueError(f"checkpoint already at iteration {start_iter}, "
                              f"nothing to resume for {train_cfg.iterations}")
     else:
-        if params is None:
-            classes = corpus.class_labels
-            cfg = replace(extractor_cfg, n_emotion_classes=len(classes))
-            params = init_params(cfg, classes, _init_rng(train_cfg.seed))
-            mean, std = compute_feature_stats(corpus)
-            params.feat_mean = np.asarray(mean, dtype=params.dtype)
-            params.feat_std = np.asarray(std, dtype=params.dtype)
+        classes = corpus.class_labels
+        cfg = replace(extractor_cfg, n_emotion_classes=len(classes))
+        params = init_params(cfg, classes, _init_rng(train_cfg.seed))
+        mean, std = compute_feature_stats(corpus)
+        params.feat_mean = np.asarray(mean, dtype=params.dtype)
+        params.feat_std = np.asarray(std, dtype=params.dtype)
         adam = AdamState(params.tensors)
 
     if params.config.input_dim != corpus.n_channels:
@@ -297,21 +292,24 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig,
                               for ei, ni, li, lj in diag)
             raise TrainingError(
                 f"non-finite value at iteration {k}: {e}; pairs: {pairs}") from e
-        row = (k, l_mix.item(), l_rank.item(), l_total.item())
-        trace_rows.append(row)
-        if log_every and (k + 1) % log_every == 0:
-            print(f"iter {k + 1}/{train_cfg.iterations}  "
-                  f"l_mixup={row[1]:.4f}  l_rank={row[2]:.4f}  "
-                  f"l_total={row[3]:.4f}", flush=True)
+        trace_rows.append((k, l_mix.item(), l_rank.item(), l_total.item()))
         if (checkpoint_dir is not None and train_cfg.checkpoint_every
                 and (k + 1) % train_cfg.checkpoint_every == 0
                 and (k + 1) < train_cfg.iterations):
             path = os.path.join(checkpoint_dir, f"ckpt_{k + 1:07d}.emom")
             save_checkpoint(params, adam, k + 1, np.asarray(trace_rows, dtype=np.float64),
                             train_cfg, path)
+        yield params, trace_rows
 
-    trace = np.asarray(trace_rows, dtype=np.float64).reshape(len(trace_rows), 4)
-    return TrainResult(params=params, trace=trace)
+
+def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig, train_cfg: TrainConfig, *,
+                     checkpoint_dir=None, resume_from=None) -> TrainResult:
+    """Run :func:`train_steps` to the end and return the trained model and
+    its loss trace."""
+    for params, rows in train_steps(corpus, extractor_cfg, train_cfg,
+                                    checkpoint_dir=checkpoint_dir, resume_from=resume_from):
+        pass
+    return TrainResult(params=params, trace=np.asarray(rows, dtype=np.float64).reshape(-1, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,31 @@ def test_the_package_writes_files_only_through_atomic_write():
     assert found == []
 
 
+def _print_calls(source: str) -> list[int]:
+    """Lines that call ``print``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print"]
+
+
+def test_the_print_scanner_flags_every_print_call():
+    source = """
+print("x")
+print
+log.print("x")
+f(print("y", file=sys.stderr))
+"""
+    assert _print_calls(source) == [2, 5]
+
+
+def test_the_library_prints_nothing_outside_the_cli():
+    src = Path(emorank.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             if path.name != "cli.py"
+             for line in _print_calls(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 def _section_constructions(source: str) -> list[int]:
     """Lines that call ``SectionReader`` or ``SectionWriter``."""
     return [node.lineno for node in ast.walk(ast.parse(source))

@@ -101,6 +101,18 @@ def test_train_artifacts(pipeline):
     assert prov["inputs"]["resume_from"] is None
 
 
+def test_log_every_prints_the_recorded_rows(pipeline, tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "m.emom"
+    assert main(["train", "--config", pipeline["cfg"], pipeline["corpus"], str(out),
+                 "--iterations", "4", "--log-every", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "iter 2/4  l_mixup=2.6335  l_rank=0.6876  l_total=0.9510",
+        "iter 4/4  l_mixup=2.5025  l_rank=0.6601  l_total=0.9104",
+        f"trained 4 iterations; final l_total=0.910375; model -> {out}; "
+        f"loss trace -> {tmp_path / 'm_loss.csv'}"]
+
+
 def test_train_flag_overrides_and_resume(pipeline, tmp_path):
     out = tmp_path / "short.emom"
     loss = tmp_path / "trace.csv"
@@ -492,6 +504,21 @@ def test_featurize_partial_then_complete(tmp_path, capsys):
     assert (out_dir / "a.emof").read_bytes() == before  # rerun is bitwise stable
 
 
+def test_featurize_truncated_wav_header_fails_the_file(tmp_path, capsys):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    write_wav(wav_dir / "a.wav")
+    write_wav(wav_dir / "cut.wav")
+    (wav_dir / "cut.wav").write_bytes((wav_dir / "cut.wav").read_bytes()[:30])
+    labels = tmp_path / "labels.csv"
+    labels.write_text("filename,speaker,emotion\na.wav,s0,angry\ncut.wav,s0,angry\n")
+    out_dir = tmp_path / "feat"
+    assert main(["featurize", str(wav_dir), str(labels), str(out_dir)]) == 6
+    err = capsys.readouterr().err
+    assert str(wav_dir / "cut.wav") in err and "truncated WAV header" in err
+    assert sorted(p for p in os.listdir(out_dir) if p.endswith(".emof")) == ["a.emof"]
+
+
 def test_featurize_bad_rate_and_pitch_override(tmp_path, capsys):
     wav_dir = tmp_path / "wavs"
     wav_dir.mkdir()
@@ -728,7 +755,8 @@ def test_bad_config_in_model_header_exits_4(pipeline, tmp_path, capsys, edit, me
     rewrite_model_header(model, edit)
     assert main(["score", str(model), pipeline["corpus"], "--out",
                  str(tmp_path / "s.csv")]) == 4
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and str(model) in err
     assert os.listdir(tmp_path) == ["bad.emom"]
 
 
@@ -748,7 +776,8 @@ def test_bad_feature_stats_in_model_exit_4(pipeline, tmp_path, capsys, edit, nam
     rewrite_sections(model, edit)
     assert main(["score", str(model), pipeline["corpus"], "--out",
                  str(tmp_path / "s.csv")]) == 4
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and str(model) in err
     assert os.listdir(tmp_path) == ["bad.emom"]
 
 

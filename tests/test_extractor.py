@@ -201,12 +201,26 @@ def test_class_embedding_enters_additively():
 def test_stored_normalization_statistics_applied():
     params = make_params()
     x = frames()
-    mean = x.mean(axis=0)
-    std = x.std(axis=0) + 0.1
+    # statistics share the model's dtype
+    mean = x.mean(axis=0).astype(params.dtype)
+    std = (x.std(axis=0) + 0.1).astype(params.dtype)
     plain = forward_intensity(params, (x - mean) / std, 1).data
     params.feat_mean, params.feat_std = mean, std
     normalized = forward_intensity(params, x, 1).data
     np.testing.assert_array_equal(plain, normalized)
+
+
+def test_statistics_of_another_dtype_are_rejected_on_assignment():
+    params = make_params()
+    mean = np.zeros(10, dtype=np.float32)
+    params.feat_mean, params.feat_std = mean, mean + 1
+    with pytest.raises(ValueError, match="one dtype"):
+        params.feat_mean = mean.astype(np.float64)
+    with pytest.raises(ValueError, match="one dtype"):
+        params.feat_std = mean.astype(np.float64)
+    assert params.feat_mean is mean
+    params.feat_mean = params.feat_std = None
+    assert params.feat_mean is None
 
 
 def test_forward_input_validation():

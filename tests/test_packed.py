@@ -628,10 +628,10 @@ def test_previous_step_gradients_are_released_before_the_forward(monkeypatch):
         return forward(params, *args, **kwargs)
 
     monkeypatch.setattr(training, "forward_intensity", checking_forward)
-    training.train_rank_model(corpus, params.config, TrainConfig(
-        iterations=3, batch_pairs=2, seed=0), params=params)
+    result = training.train_rank_model(corpus, params.config, TrainConfig(
+        iterations=3, batch_pairs=2, seed=0))
     assert released == [True, True, True]
-    assert all(t.grad is not None for t in params.tensors.values())
+    assert all(t.grad is not None for t in result.params.tensors.values())
 
 
 def test_backward_returns_memory_to_the_pre_forward_level():

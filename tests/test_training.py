@@ -1,6 +1,7 @@
 """Training loop: sampling, determinism, checkpointing, and failure paths."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from emorank.extractor import ExtractorConfig, init_params, load_model, save_mod
 from emorank.features import FeatureMatrix
 from emorank.numerics import AdamState
 from emorank.synthcorpus import SynthSpec, generate
-from emorank.training import (Corpus, TrainConfig, TrainingError,
+from emorank.training import (Corpus, TrainConfig, TrainingError, _init_rng,
                               compute_feature_stats, corpus_digest,
                               iteration_rng, load_checkpoint, load_corpus,
                               read_trace_csv, sample_pair, save_checkpoint,
-                              train_rank_model, write_trace_csv)
+                              train_rank_model, train_steps, write_trace_csv)
 from params_oracle import params_digest
 
 
@@ -215,12 +216,11 @@ def test_training_leaves_the_callers_extractor_config_alone():
 
 def test_zero_learning_rate_is_inert():
     corpus = synth_corpus()
-    ecfg = tiny_cfg()
-    params = init_params(ecfg, corpus.class_labels, np.random.default_rng(7))
-    before = params_digest(params)
-    train_rank_model(corpus, ecfg, TrainConfig(iterations=3, learning_rate=0.0,
-                                               batch_pairs=2, seed=0), params=params)
-    assert params_digest(params) == before
+    result = train_rank_model(corpus, tiny_cfg(), TrainConfig(iterations=3, learning_rate=0.0,
+                                                              batch_pairs=2, seed=0))
+    init = init_params(tiny_cfg(), corpus.class_labels, _init_rng(0))
+    init.feat_mean, init.feat_std = (s.astype(init.dtype) for s in compute_feature_stats(corpus))
+    assert params_digest(result.params) == params_digest(init)
 
 
 def test_same_seed_identical_traces():
@@ -291,15 +291,28 @@ def test_resume_beyond_target_rejected(tmp_path):
                          resume_from=tmp_path / "ckpt_0000005.emom")
 
 
-def test_log_line_reads_the_recorded_row(capsys):
-    result = train_rank_model(synth_corpus(), tiny_cfg(),
-                              TrainConfig(iterations=4, learning_rate=1e-3,
-                                          batch_pairs=2, seed=1), log_every=2)
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "iter 2/4  l_mixup=2.3311  l_rank=0.7001  l_total=0.9332"
-    _, l_mix, l_rank, l_total = result.trace[3]
-    assert lines[1:] == [f"iter 4/4  l_mixup={l_mix:.4f}  l_rank={l_rank:.4f}  "
-                         f"l_total={l_total:.4f}"]
+def test_a_consumer_that_stops_after_k_steps_holds_the_k_iteration_model():
+    corpus, k = synth_corpus(), 3
+    cfg = dict(learning_rate=1e-3, batch_pairs=2, seed=5)
+    for params, rows in itertools.islice(
+            train_steps(corpus, tiny_cfg(), TrainConfig(iterations=10, **cfg)), k):
+        pass
+    ref = train_rank_model(corpus, tiny_cfg(), TrainConfig(iterations=k, **cfg))
+    assert params_digest(params) == params_digest(ref.params)
+    np.testing.assert_array_equal(np.asarray(rows), ref.trace)
+
+
+def test_a_due_checkpoint_exists_when_its_step_is_yielded(tmp_path):
+    cfg = TrainConfig(iterations=7, learning_rate=1e-3, batch_pairs=2, seed=1,
+                      checkpoint_every=3)
+    seen = []
+    for params, rows in train_steps(synth_corpus(), tiny_cfg(), cfg, checkpoint_dir=tmp_path):
+        seen.append(sorted(p.name for p in tmp_path.iterdir()))
+        if len(rows) % 3 == 0:  # the checkpoint holds the model this step yields
+            assert params_digest(load_model(tmp_path / f"ckpt_{len(rows):07d}.emom")[0]) \
+                == params_digest(params)
+    three, six = "ckpt_0000003.emom", "ckpt_0000006.emom"
+    assert seen == [[], [], [three], [three], [three], [three, six], [three, six]]
 
 
 def test_divergence_raises_training_error():
@@ -311,14 +324,9 @@ def test_divergence_raises_training_error():
 
 
 def test_channel_mismatch_rejected():
-    corpus = synth_corpus()
-    with pytest.raises(ValueError):
-        train_rank_model(corpus, tiny_cfg(input_dim=16),
-                         TrainConfig(iterations=1, learning_rate=0.0,
-                                     batch_pairs=1, seed=0),
-                         params=init_params(tiny_cfg(input_dim=16),
-                                            corpus.class_labels,
-                                            np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="model expects 16 channels, corpus has 82"):
+        train_rank_model(synth_corpus(), tiny_cfg(input_dim=16),
+                         TrainConfig(iterations=1, learning_rate=0.0, batch_pairs=1, seed=0))
 
 
 # ---------------------------------------------------------------------------
