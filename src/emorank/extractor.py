@@ -4,9 +4,12 @@ Input frames pass through an input projection, sinusoidal positional
 encoding, and a stack of feed-forward-transformer blocks (multi-head
 self-attention plus a two-layer 1-D convolutional feed-forward, each with a
 residual connection and layer norm). An emotion embedding row is then added
-to every frame, yielding the per-frame intensity representation. Two small
-heads read the time-pooled vectors: a linear classifier over emotion classes,
-and a two-layer projector producing the scalar rank score.
+to every frame, yielding the per-frame intensity representation. Every
+residual add and layer norm, and the position table's and the embedding's
+adds, run as epilogues of the affine op before them (see
+``numerics._affine``). Two small heads read the time-pooled vectors: a
+linear classifier over emotion classes, and a two-layer projector producing
+the scalar rank score.
 
 Every stage takes one shape: a packed (sum T, C) batch of utterances with
 their frame counts as segment lengths, and (B, hidden) pooled rows for the
@@ -219,35 +222,38 @@ def draw_dropout_masks(cfg: ExtractorConfig, t_len: int,
 
 
 def _self_attention(params: ModelParams, prefix: str, x: Tensor, lengths, keep) -> Tensor:
+    """LayerNorm(x + dropout(attention(x) wo + bo)) as three ``matmul`` ops,
+    an ``attention`` op and the output projection, whose dropout, residual
+    add and layer norm are its in-place epilogues."""
     cfg = params.config
     q = nm.matmul(x, params[prefix + "attn.wq"], params[prefix + "attn.bq"])
     k = nm.matmul(x, params[prefix + "attn.wk"], params[prefix + "attn.bk"])
     v = nm.matmul(x, params[prefix + "attn.wv"], params[prefix + "attn.bv"])
     heads = nm.attention(q, k, v, cfg.n_heads, lengths)
     return nm.matmul(heads, params[prefix + "attn.wo"], params[prefix + "attn.bo"],
-                     p=cfg.dropout, keep=next(keep, None))
+                     p=cfg.dropout, keep=next(keep, None), residual=x,
+                     norm=(params[prefix + "norm1.gain"], params[prefix + "norm1.bias"]))
 
 
 def _conv_ff(params: ModelParams, prefix: str, x: Tensor, lengths, keep) -> Tensor:
-    """conv1 -> ReLU -> dropout -> conv2 -> dropout as two ``conv1d`` ops:
-    the ReLU and each dropout are in-place epilogues of the conv before
-    them, as the attention output's dropout is of its output projection, so
-    the graph keeps one (T, filter) activation per block. In eval mode, and
-    at dropout 0, ``keep`` yields no masks and nothing is dropped."""
+    """LayerNorm(x + dropout(conv2(dropout(ReLU(conv1(x)))))) as two
+    ``conv1d`` ops: the ReLU and each dropout, and the residual add and layer
+    norm after the second conv, are in-place epilogues of the conv before
+    them, so the graph keeps one (T, filter) activation per block and no
+    (T, hidden) array between conv2 and the norm. In eval mode, and at
+    dropout 0, ``keep`` yields no masks and nothing is dropped."""
     cfg = params.config
     c = nm.conv1d(x, params[prefix + "conv1.w"], params[prefix + "conv1.b"], lengths,
                   relu=True, p=cfg.dropout, keep=next(keep, None))
     return nm.conv1d(c, params[prefix + "conv2.w"], params[prefix + "conv2.b"], lengths,
-                     p=cfg.dropout, keep=next(keep, None))
+                     p=cfg.dropout, keep=next(keep, None), residual=x,
+                     norm=(params[prefix + "norm2.gain"], params[prefix + "norm2.bias"]))
 
 
 def _fft_block(params: ModelParams, index: int, x: Tensor, lengths, keep) -> Tensor:
     prefix = f"block{index}."
-    x = nm.layer_norm(nm.add(x, _self_attention(params, prefix, x, lengths, keep)),
-                      params[prefix + "norm1.gain"], params[prefix + "norm1.bias"])
-    x = nm.layer_norm(nm.add(x, _conv_ff(params, prefix, x, lengths, keep)),
-                      params[prefix + "norm2.gain"], params[prefix + "norm2.bias"])
-    return x
+    x = _self_attention(params, prefix, x, lengths, keep)
+    return _conv_ff(params, prefix, x, lengths, keep)
 
 
 def forward_intensity(params: ModelParams, x, emotion_class, *,
@@ -295,16 +301,17 @@ def forward_intensity(params: ModelParams, x, emotion_class, *,
         keep = (np.concatenate(site) for site in zip(*dropout_masks))
 
     h = Tensor(np.asarray(data, dtype=params.dtype))
-    h = nm.matmul(h, params["in_proj.w"], params["in_proj.b"])
     pos = [positional_encoding(t, cfg.hidden_dim, params.dtype) for t in lengths]
-    h = nm.add(h, Tensor(np.concatenate(pos)))
+    # the position table is a constant residual: the graph does not hold it
+    h = nm.matmul(h, params["in_proj.w"], params["in_proj.b"], residual=np.concatenate(pos))
     for i in range(cfg.n_fft_blocks):
         h = _fft_block(params, i, h, lengths, keep)
     # each frame's class embedding row, as a one-hot matmul so the table's
-    # gradient is one product rather than a scatter over frames
+    # gradient is one product rather than a scatter over frames, with h as
+    # its residual
     one_hot = np.zeros((h.shape[0], cfg.n_emotion_classes), dtype=params.dtype)
     one_hot[np.arange(h.shape[0]), np.repeat(classes, lengths)] = 1.0
-    i_seq = nm.add(h, nm.matmul(Tensor(one_hot), params["emb.table"]))
+    i_seq = nm.matmul(Tensor(one_hot), params["emb.table"], residual=h)
     i_seq.validate_finite()
     return i_seq
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io.wavfile
 
 from .binio import FileFormatError, SectionReader, SectionWriter, atomic_write, open_text
 
@@ -293,12 +293,23 @@ def featurize_audio(audio: np.ndarray, cfg: FeatureConfig, source_id: str,
 def load_wav(path) -> tuple[np.ndarray, int]:
     """Mono PCM WAV as float64 samples in [-1, 1) plus the sample rate.
 
-    Accepts 16-bit integer or float32 encodings.
+    Accepts 16-bit integer or float32 encodings. A file that ends before its
+    header says it does (a data chunk cut short) raises
+    :class:`FileFormatError`. scipy's WAV reader, and the hundred-odd scipy
+    modules it loads, are imported here, so commands that read no audio do
+    without them.
     """
+    from scipy.io import wavfile
+
     try:
-        sr, data = scipy.io.wavfile.read(path)
+        with warnings.catch_warnings():
+            # scipy returns the samples that are there and only warns
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            sr, data = wavfile.read(path)
     except struct.error as e:  # scipy unpacks a header cut short without a check
         raise FileFormatError(f"{path}: truncated WAV header: {e}") from e
+    except wavfile.WavFileWarning as e:
+        raise FileFormatError(f"{path}: truncated WAV data: {e}") from e
     if data.ndim != 1:
         raise FileFormatError(f"{path}: expected mono audio, got {data.ndim} channels")
     if data.dtype == np.int16:

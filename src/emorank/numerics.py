@@ -7,10 +7,12 @@ replays that graph in reverse topological order, accumulates gradients into
 every leaf that requires them and uses the graph up as it goes. The op
 surface is deliberately small: exactly the ops the intensity extractor and
 its losses call, each loss term one op, and one body (``_affine``) behind
-both affine ops, ``matmul`` and ``conv1d``, with their ReLU and dropout as
-in-place epilogues. The unfused ops the fused ones are tested against
-(per-head softmax attention, ReLU, dropout, log-softmax, and the log, clip
-and constant add of a sigmoid cross-entropy) live with the tests.
+both affine ops, ``matmul`` and ``conv1d``, with their ReLU, dropout,
+residual add and layer norm as in-place epilogues: a transformer sublayer's
+``LayerNorm(x + dropout(affine(h)))`` is one op, and its graph keeps only
+what its backward reads. The unfused ops the fused ones are tested against
+(per-head softmax attention, ReLU, dropout, layer norm, log-softmax, and the
+log, clip and constant add of a sigmoid cross-entropy) live with the tests.
 
 Shapes: an op over activations takes a 2-D (rows, C) batch, plus the row
 counts of its segments as ``lengths`` if it reads segments. One sequence is
@@ -267,16 +269,18 @@ def _weight_grad(a, g: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, *, p: float = 0.0,
-           keep: np.ndarray | None = None) -> Tensor:
+           keep: np.ndarray | None = None, residual: Tensor | np.ndarray | None = None,
+           norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """Matrix product of a (rows, C) batch and a (C, C_out) matrix.
 
     ``bias``, a vector with one entry per column of ``b``, is added in place
     to every row of the product: an affine layer is one op, and the graph
     keeps no bare product beside the biased one. A dropout rate ``p`` with a
-    bool ``keep`` mask from :func:`dropout_masks` drops in place too (see
-    :func:`_affine`). The backward pass forms an operand's gradient only
-    when some leaf receives it, so a constant input (raw features, a one-hot
-    matrix) costs no product.
+    bool ``keep`` mask from :func:`dropout_masks`, a ``residual`` added to
+    the result and a layer ``norm=(gain, bias)`` of its rows apply in place
+    too (see :func:`_affine`). The backward pass forms an operand's gradient
+    only when some leaf receives it, so a constant input (raw features, a
+    one-hot matrix) costs no product.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -285,7 +289,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, *, p: float = 0.0,
         raise ValueError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     if bias is not None and bias.shape != b.shape[1:]:
         raise ValueError(f"matmul bias must be ({b.shape[1]},), got {bias.shape}")
-    return _affine(a, b, bias, 1, None, "matmul", p=p, keep=keep)
+    return _affine(a, b, bias, 1, None, "matmul", p=p, keep=keep, residual=residual,
+                   norm=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -366,29 +371,7 @@ def _keep_scale(p: float, keep: np.ndarray, like: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# normalization and attention building blocks
-
-
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row of a (rows, C) batch, then apply per-channel gain
-    and bias."""
-    if a.data.ndim != 2 or gain.shape != a.shape[1:] or bias.shape != a.shape[1:]:
-        raise ValueError(f"layer_norm expects a (rows, C) batch and (C,) gain and bias, "
-                         f"got {a.shape}, {gain.shape}, {bias.shape}")
-    mean = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-
-    def backward(g):
-        _accumulate(gain, (g * xhat).sum(axis=0))
-        _accumulate(bias, g.sum(axis=0))
-        gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, term * inv_std)
-
-    return _make(xhat * gain.data + bias.data, (a, gain, bias), "layer_norm", backward)
+# segments, affine ops and attention
 
 
 def _runs(lengths, t_len: int) -> list[tuple[int, int, int, int]]:
@@ -472,27 +455,41 @@ def _conv_input_grad(g: np.ndarray, w2d: np.ndarray, k: int, cross) -> np.ndarra
     return gpad[pad_lo:pad_lo + t_len]
 
 
+# the layer-norm epilogue's epsilon, added to each row's variance
+_NORM_EPS = 1e-5
+
+
 def _affine(x: Tensor, w: Tensor, bias: Tensor | None, k: int, cross, op: str, *,
-            relu: bool = False, p: float = 0.0, keep: np.ndarray | None = None) -> Tensor:
+            relu: bool = False, p: float = 0.0, keep: np.ndarray | None = None,
+            residual: Tensor | np.ndarray | None = None,
+            norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """The body of both affine ops: ``matmul`` is its one-tap case, whose tap
     matrix is ``x`` itself, and ``conv1d`` its ``k``-tap case.
 
     The tap matrix times the (K*C_in, C_out) view of ``w``, with ``bias``
-    added in place. An optional epilogue works in place too: ``relu=True``
-    multiplies by the ReLU mask ``out > 0``, and a dropout rate ``p`` with a
-    bool ``keep`` mask from :func:`dropout_masks` by ``keep * c``,
-    ``c = 1/(1-p)`` in the output's dtype (``keep=None``, as in eval mode,
-    drops nothing). These are the products a separate ReLU op and then a
-    separate dropout op form, so every bit is theirs, but the graph keeps one
-    (T, C_out) array where that chain keeps three.
+    added in place. Optional epilogues work in place too, in this order:
+    ``relu=True`` multiplies by the ReLU mask ``out > 0``; a dropout rate
+    ``p`` with a bool ``keep`` mask from :func:`dropout_masks` multiplies by
+    ``keep * c``, ``c = 1/(1-p)`` in the output's dtype (``keep=None``, as
+    in eval mode, drops nothing); a ``residual`` of the output's shape and
+    dtype is added; and ``norm=(gain, bias)`` normalizes each row to zero
+    mean and unit variance, then applies the per-channel gain and bias. These
+    are the products the separate ReLU, dropout, add and layer-norm ops form,
+    so every bit is theirs, but the graph keeps only what the backward reads:
+    the output, plus the normalized rows under a norm, where that chain keeps
+    every intermediate. A ``residual`` that needs no gradient (an array, or a
+    constant tensor) is neither an input of the node nor held by it.
 
-    The backward masks its own gradient in place, reading the ReLU mask back
-    from the output (a kept element is positive exactly when the product
-    was, and a dropped one has a zero gradient either way). It then forms
-    only the gradients some leaf receives: the input gradient first, freeing
-    its (T, K*C_in) column gradient before the kernel gradient is formed
-    through :func:`_weight_grad` from tap-matrix rows rebuilt one chunk at a
-    time, and the bias gradient last.
+    The backward runs the epilogues in reverse, in place on its own
+    gradient: the layer-norm backward, then a copy to the residual, then the
+    masks. The ReLU mask is read back from the output (a kept element is
+    positive exactly when the product was, and a dropped one is 0 there, so
+    the ReLU mask zeroes its gradient and the dropout mask is not kept); only
+    an output changed by a residual or norm keeps a bool ReLU mask instead.
+    It then forms only the gradients some leaf receives: the input gradient
+    first, freeing its (T, K*C_in) column gradient before the kernel gradient
+    is formed through :func:`_weight_grad` from tap-matrix rows rebuilt one
+    chunk at a time, and the bias gradient last.
     """
     w2d = w.data.reshape(-1, w.shape[-1])
     out_data = _im2col(x.data, k, cross) @ w2d
@@ -503,14 +500,48 @@ def _affine(x: Tensor, w: Tensor, bias: Tensor | None, k: int, cross, op: str, *
     c = None if keep is None else _keep_scale(p, keep, out_data)
     if c is not None:
         out_data *= keep * c
+    if relu:
+        keep = None  # the ReLU mask zeroes every dropped element's gradient
+    active = out_data > 0 if relu and (residual is not None or norm is not None) else None
+    res = None
+    if residual is not None:
+        residual = as_tensor(residual)
+        if residual.shape != out_data.shape or residual.dtype != out_data.dtype:
+            raise ValueError(f"{op} residual must be {out_data.shape} {out_data.dtype}, "
+                             f"got {residual.shape} {residual.dtype}")
+        out_data += residual.data
+        res = residual if residual.requires_grad else None
+    xhat = inv_std = None
+    if norm is not None:
+        gain, shift = norm
+        if gain.shape != out_data.shape[1:] or shift.shape != out_data.shape[1:]:
+            raise ValueError(f"{op} norm needs ({out_data.shape[1]},) gain and bias, "
+                             f"got {gain.shape}, {shift.shape}")
+        xhat = out_data  # normalized in place
+        xhat -= xhat.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + _NORM_EPS)
+        xhat *= inv_std
+        out_data = xhat * gain.data + shift.data
 
     def backward(g):
-        # g is this node's own gradient (see Tensor.backward): mask it in place
-        if c is not None:
+        # g is this node's own gradient (see Tensor.backward): work in place
+        if xhat is not None:
+            _accumulate(gain, (g * xhat).sum(axis=0))
+            _accumulate(shift, g.sum(axis=0))
+            g *= gain.data
+            g_mean = g.mean(axis=-1, keepdims=True)
+            gx_mean = (g * xhat).mean(axis=-1, keepdims=True)
+            g -= g_mean
+            g -= xhat * gx_mean
+            g *= inv_std
+        if res is not None:
+            _accumulate(res, g.copy())
+        if keep is not None:
             g *= keep
+        if c is not None:
             g *= c
         if relu:
-            g *= out_data > 0
+            g *= out_data > 0 if active is None else active
         if x.requires_grad:
             _accumulate(x, _conv_input_grad(g, w2d, k, cross))
         if w.requires_grad:
@@ -520,13 +551,15 @@ def _affine(x: Tensor, w: Tensor, bias: Tensor | None, k: int, cross, op: str, *
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=0))
 
-    parents = (x, w) if bias is None else (x, w, bias)
+    parents = (x, w) + ((bias,) if bias is not None else ()) \
+        + ((res,) if res is not None else ()) + (norm or ())
     return _make(out_data, parents, op, backward)
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
            lengths, *, relu: bool = False, p: float = 0.0,
-           keep: np.ndarray | None = None) -> Tensor:
+           keep: np.ndarray | None = None, residual: Tensor | np.ndarray | None = None,
+           norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """1-D convolution over time with "same" zero padding.
 
     ``x`` is (T, C_in), ``kernel`` is (K, C_in, C_out); output is (T, C_out).
@@ -534,8 +567,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
     for one sequence) that are convolved independently: each segment is
     zero padded at both ends, so no output frame reads a neighbouring
     segment. Implemented as one im2col matmul over all segments so BLAS does
-    the heavy lifting, with ``bias``, the ``relu`` and ``p``/``keep``
-    epilogue and the backward of :func:`_affine`.
+    the heavy lifting, with ``bias``, the ``relu``, ``p``/``keep``,
+    ``residual`` and ``norm`` epilogues and the backward of :func:`_affine`.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ValueError(f"conv1d expects (T,Cin) x (K,Cin,Cout), got {x.shape} x {kernel.shape}")
@@ -548,7 +581,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
     _runs(lengths, t_len)  # validates the segment lengths
     # taps that would read a neighbouring segment read its padding instead
     cross = _cross_taps(lengths, t_len, k) if k > 1 else None
-    return _affine(x, kernel, bias, k, cross, "conv1d", relu=relu, p=p, keep=keep)
+    return _affine(x, kernel, bias, k, cross, "conv1d", relu=relu, p=p, keep=keep,
+                   residual=residual, norm=norm)
 
 
 def _segment_chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The library keeps exactly the ops the pipeline calls. These are the unfused
 pieces the fused ops are checked against (per-head attention from slices, a
-transpose, softmax and a concat; a separate ReLU and dropout after an affine
-op; an affine layer's bias as a separate row-broadcast add; cross-entropy as a
+transpose, softmax and a concat; a separate ReLU, dropout and layer norm
+after an affine op; an affine layer's bias as a separate row-broadcast add; cross-entropy as a
 log-softmax and pick chain, or take_rows for 1-D logits, and the rank term as
 a sigmoid, clip, log chain) and the elementwise product and full sum that the
 finite-difference tests read gradients through. They record their nodes
@@ -105,6 +105,28 @@ def dropout(a, p: float, *, keep):
         nm._accumulate(a, g * (keep * c))
 
     return nm._make(a.data * (keep * c), (a,), "dropout", backward)
+
+
+def layer_norm(a, gain, bias, eps: float = 1e-5):
+    """Normalize each row of a (rows, C) batch, then apply per-channel gain
+    and bias."""
+    if a.data.ndim != 2 or gain.shape != a.shape[1:] or bias.shape != a.shape[1:]:
+        raise ValueError(f"layer_norm expects a (rows, C) batch and (C,) gain and bias, "
+                         f"got {a.shape}, {gain.shape}, {bias.shape}")
+    mean = a.data.mean(axis=-1, keepdims=True)
+    centered = a.data - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+
+    def backward(g):
+        nm._accumulate(gain, (g * xhat).sum(axis=0))
+        nm._accumulate(bias, g.sum(axis=0))
+        gx = g * gain.data
+        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        nm._accumulate(a, term * inv_std)
+
+    return nm._make(xhat * gain.data + bias.data, (a, gain, bias), "layer_norm", backward)
 
 
 def softmax(a, axis: int = -1):

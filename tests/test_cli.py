@@ -519,6 +519,42 @@ def test_featurize_truncated_wav_header_fails_the_file(tmp_path, capsys):
     assert sorted(p for p in os.listdir(out_dir) if p.endswith(".emof")) == ["a.emof"]
 
 
+def test_featurize_wav_with_a_cut_data_chunk_fails_the_file(tmp_path, capsys):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    write_wav(wav_dir / "a.wav")
+    write_wav(wav_dir / "cut.wav", seconds=1.0)
+    # the 44-byte header, which still declares 1 s, and 0.1 s of samples
+    (wav_dir / "cut.wav").write_bytes((wav_dir / "cut.wav").read_bytes()[:44 + 3200])
+    labels = tmp_path / "labels.csv"
+    labels.write_text("filename,speaker,emotion\na.wav,s0,angry\ncut.wav,s0,angry\n")
+    out_dir = tmp_path / "feat"
+    assert main(["featurize", str(wav_dir), str(labels), str(out_dir)]) == 6
+    captured = capsys.readouterr()
+    assert "1 ok, 1 failed" in captured.out
+    assert str(wav_dir / "cut.wav") in captured.err and "truncated WAV data" in captured.err
+    assert sorted(p for p in os.listdir(out_dir) if p.endswith(".emof")) == ["a.emof"]
+
+
+def test_featurize_wav_with_an_unknown_extra_chunk_still_featurizes(tmp_path, capsys):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    write_wav(wav_dir / "a.wav")
+    write_wav(wav_dir / "extra.wav")
+    raw = bytearray((wav_dir / "extra.wav").read_bytes())
+    raw += b"abcd" + struct.pack("<I", 4) + bytes(4)  # a chunk no reader knows
+    raw[4:8] = struct.pack("<I", len(raw) - 8)  # the RIFF size covers the new chunk
+    (wav_dir / "extra.wav").write_bytes(bytes(raw))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("filename,speaker,emotion\na.wav,s0,angry\nextra.wav,s0,angry\n")
+    out_dir = tmp_path / "feat"
+    with pytest.warns(scipy.io.wavfile.WavFileWarning, match="not understood"):
+        assert main(["featurize", str(wav_dir), str(labels), str(out_dir)]) == 0
+    assert "2 ok, 0 failed" in capsys.readouterr().out
+    np.testing.assert_array_equal(read_features(out_dir / "extra.emof").frames,
+                                  read_features(out_dir / "a.emof").frames)
+
+
 def test_featurize_bad_rate_and_pitch_override(tmp_path, capsys):
     wav_dir = tmp_path / "wavs"
     wav_dir.mkdir()
@@ -894,10 +930,11 @@ def test_seed_precedence_across_sources(tmp_path, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_scipy_fft_or_stats():
-    # only `mcd` needs them; they cost every other command its start-up time
+    # only `mcd` needs scipy.fft and scipy.stats, and only reading a WAV
+    # scipy.io: no scipy module costs every other command its start-up time
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     script = ("import sys, emorank.cli; "
-              "print(sorted(m for m in ('scipy.fft', 'scipy.stats') if m in sys.modules))")
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"

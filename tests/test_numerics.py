@@ -66,7 +66,7 @@ def test_batch_ops_reject_a_single_vector():
     with pytest.raises(ValueError):
         nm.matmul(v, Tensor(np.ones((3, 2))))
     with pytest.raises(ValueError):
-        nm.layer_norm(v, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        ops.layer_norm(v, Tensor(np.ones(3)), Tensor(np.zeros(3)))
     with pytest.raises(ValueError):
         nm.pick(v, 1)
 
@@ -106,7 +106,7 @@ def test_mean_over_time_constant():
 def test_layer_norm_forward():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 8)) * 3 + 1
-    out = nm.layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)))
+    out = ops.layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)))
     np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
@@ -385,9 +385,29 @@ def test_layer_norm_grads(seed):
     a = Tensor(rng.normal(size=(4, 6)) * 2 + 1, requires_grad=True)
     gain = Tensor(rng.uniform(0.5, 1.5, size=6), requires_grad=True)
     bias = Tensor(rng.normal(size=6), requires_grad=True)
-    fd_check(lambda: weighted_sum(nm.layer_norm(a, gain, bias),
+    fd_check(lambda: weighted_sum(ops.layer_norm(a, gain, bias),
                                   seed + 60),
              [a, gain, bias], tol=5e-4)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_residual_and_norm_grads(seed):
+    # LayerNorm(residual + dropout(affine(x))), the epilogues of one op
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+    bias = Tensor(rng.normal(size=4), requires_grad=True)
+    residual = Tensor(rng.normal(size=(7, 4)) * 2 + 1, requires_grad=True)
+    gain = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
+    shift = Tensor(rng.normal(size=4), requires_grad=True)
+    p = 0.25
+    keep = nm.dropout_masks([(7, 4)], p, rng)[0]
+    epilogue = dict(p=p, keep=keep, residual=residual, norm=(gain, shift))
+    fd_check(lambda: weighted_sum(nm.matmul(x, w, bias, **epilogue), seed + 80),
+             [x, w, bias, residual, gain, shift], tol=5e-4)
+    fd_check(lambda: weighted_sum(nm.conv1d(x, kernel, bias, [3, 4], **epilogue), seed + 90),
+             [x, kernel, bias, residual, gain, shift], tol=5e-4)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -74,13 +74,13 @@ def _ref_forward(params, x, emotion_class, train, rng):
     lengths = [data.shape[0]]
     for i in range(cfg.n_fft_blocks):
         p = f"block{i}."
-        h = nm.layer_norm(nm.add(h, _ref_attention(params, p, h, train, rng)),
-                          params[p + "norm1.gain"], params[p + "norm1.bias"])
+        h = ops.layer_norm(nm.add(h, _ref_attention(params, p, h, train, rng)),
+                           params[p + "norm1.gain"], params[p + "norm1.bias"])
         c = ops.relu(nm.conv1d(h, params[p + "conv1.w"], params[p + "conv1.b"], lengths))
         c = _ref_dropout(c, cfg, train, rng)
         c = _ref_dropout(nm.conv1d(c, params[p + "conv2.w"], params[p + "conv2.b"], lengths),
                          cfg, train, rng)
-        h = nm.layer_norm(nm.add(h, c), params[p + "norm2.gain"], params[p + "norm2.bias"])
+        h = ops.layer_norm(nm.add(h, c), params[p + "norm2.gain"], params[p + "norm2.bias"])
     return ops.add(h, nm.take_rows(params["emb.table"], params.class_index(emotion_class)))
 
 
@@ -106,10 +106,19 @@ def _ref_batch_losses(params, corpus, cfg, rng):
     return nm.scale(l_mix, inv), nm.scale(l_rank, inv)
 
 
-def _ref_conv1d(x, kernel, bias, lengths, *, relu=False, p=0.0, keep=None):
+def _ref_epilogue(out, *, p, keep, residual, norm):
+    """The epilogues after an affine op's ReLU as separate ``dropout``,
+    ``add`` and ``layer_norm`` ops."""
+    out = out if keep is None else ops.dropout(out, p, keep=keep)
+    out = out if residual is None else nm.add(residual, out)
+    return out if norm is None else ops.layer_norm(out, *norm)
+
+
+def _ref_conv1d(x, kernel, bias, lengths, *, relu=False, p=0.0, keep=None, residual=None,
+                norm=None):
     """Segmented "same" conv1d that keeps its (T, K*C_in) columns alive until
-    the backward pass runs, with its epilogue as separate ``relu`` and
-    ``dropout`` ops."""
+    the backward pass runs, with its epilogues as separate ``relu``,
+    ``dropout``, ``add`` and ``layer_norm`` ops."""
     t_len, c_in = x.shape
     k, _, c_out = kernel.shape
     pad_lo = (k - 1) // 2
@@ -147,13 +156,14 @@ def _ref_conv1d(x, kernel, bias, lengths, *, relu=False, p=0.0, keep=None):
     out = nm._make(out_data, parents, "conv1d", backward)
     if relu:
         out = ops.relu(out)
-    return out if keep is None else ops.dropout(out, p, keep=keep)
+    return _ref_epilogue(out, p=p, keep=keep, residual=residual, norm=norm)
 
 
-def _ref_matmul(a, b, bias=None, *, p=0.0, keep=None):
+def _ref_matmul(a, b, bias=None, *, p=0.0, keep=None, residual=None, norm=None):
     """Matrix product that forms both operands' gradients even when no leaf
     receives them, with its bias added by a separate ``add`` op and its
-    dropout by a separate ``dropout`` op."""
+    other epilogues by separate ``dropout``, ``add`` and ``layer_norm``
+    ops."""
     def backward(g):
         if a.data.ndim == 1:
             nm._accumulate(a, b.data @ g)
@@ -164,7 +174,7 @@ def _ref_matmul(a, b, bias=None, *, p=0.0, keep=None):
 
     out = nm._make(a.data @ b.data, (a, b), "matmul", backward)
     out = out if bias is None else ops.add(out, bias)
-    return out if keep is None else ops.dropout(out, p, keep=keep)
+    return _ref_epilogue(out, p=p, keep=keep, residual=residual, norm=norm)
 
 
 def _intact_backward(root):
@@ -487,6 +497,115 @@ def test_conv1d_epilogue_gradients_match_finite_differences():
         np.testing.assert_allclose(t.grad, ref, rtol=1e-6, atol=1e-8)
 
 
+_EPILOGUES = {  # (residual, norm) after the affine op's ReLU and dropout
+    "residual_and_norm": ("tensor", True),
+    "input_as_residual_and_norm": ("input", True),
+    "constant_residual_and_norm": ("constant", True),
+    "residual": ("tensor", False),
+    "norm": (None, True),
+}
+
+
+@pytest.mark.parametrize("epilogue", list(_EPILOGUES))
+@pytest.mark.parametrize("op", ["matmul", "conv1d", "conv1d_relu"])
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_residual_and_norm_epilogues_equal_the_unfused_chain_bitwise(dtype, train, op,
+                                                                      epilogue):
+    rng = np.random.default_rng(23)
+    lengths = [7, 300, 1, 12, 5]  # 300 frames: more than one weight-gradient chunk
+    t_len, width, p = sum(lengths), 6, 0.3
+    k = 1 if op == "matmul" else 5
+    shapes = ((t_len, width), (k, width, width), (width,), (t_len, width), (width,), (width,))
+    arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    arrays[4] += 1.0  # gains about one
+    keep = nm.dropout_masks([(t_len, width)], p, rng)[0] if train else None
+    seed = rng.normal(size=(t_len, width)).astype(dtype)
+    residual_kind, with_norm = _EPILOGUES[epilogue]
+    relu = op == "conv1d_relu"
+    results = []
+    for fused in (True, False):
+        x, w, b, r, gain, shift = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        norm = (gain, shift) if with_norm else None
+        residual = {"tensor": r, "input": x, "constant": arrays[3], None: None}[residual_kind]
+        if op == "matmul":
+            w = Tensor(w.data[0], requires_grad=True)
+        leaves = (x, w, b, r, gain, shift)
+
+        def affine(**epilogue):
+            if op == "matmul":
+                return nm.matmul(x, w, b, **epilogue)
+            return nm.conv1d(x, w, b, lengths, **epilogue)
+
+        if fused:
+            out = affine(p=p, keep=keep, residual=residual, norm=norm,
+                         **({"relu": True} if relu else {}))
+        else:
+            out = affine()
+            out = ops.relu(out) if relu else out
+            out = out if keep is None else ops.dropout(out, p, keep=keep)
+            out = out if residual is None else nm.add(nm.as_tensor(residual), out)
+            out = out if norm is None else ops.layer_norm(out, gain, shift)
+        out.backward(seed)
+        results.append([out.data] + [t.grad for t in leaves])
+    for new, ref in zip(*results):
+        if ref is None:  # a leaf outside this epilogue
+            assert new is None
+            continue
+        assert new.dtype == dtype and new.shape == ref.shape
+        assert new.tobytes() == ref.tobytes()  # also tells -0.0 from 0.0
+
+
+def test_a_constant_residual_is_neither_an_input_nor_held():
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    residual = rng.normal(size=(9, 5))
+    for constant in (residual, Tensor(residual)):
+        out = nm.matmul(x, w, residual=constant)
+        assert out._parents == (x, w)
+        assert not any(a is residual for a in _held_arrays(out))
+        np.testing.assert_array_equal(out.data, x.data @ w.data + residual)
+    with pytest.raises(ValueError):
+        nm.matmul(x, w, residual=residual[:, :4])
+    with pytest.raises(ValueError):
+        nm.matmul(x, w, residual=residual.astype(np.float32))
+    with pytest.raises(ValueError):
+        nm.matmul(x, w, norm=(Tensor(np.ones(4)), Tensor(np.zeros(4))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_conv_gradient_without_a_kept_mask_equals_the_masked_one_bitwise(
+        monkeypatch, dtype):
+    rng = np.random.default_rng(25)
+    lengths = [40, 9, 30]
+    t_len, c_in, k, c_out, p = sum(lengths), 4, 5, 7, 0.4
+    keep = nm.dropout_masks([(t_len, c_out)], p, rng)[0]
+    x = Tensor(rng.normal(size=(t_len, c_in)).astype(dtype), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(k, c_in, c_out)).astype(dtype), requires_grad=True)
+    seed = rng.normal(size=(t_len, c_out)).astype(dtype)
+    out = nm.conv1d(x, kernel, None, lengths, relu=True, p=p, keep=keep)
+    assert not any(a.dtype == np.bool_ for a in _captured(out._backward)
+                   if isinstance(a, np.ndarray))
+    # the gradient masked by keep, c and the ReLU mask, as the unfused chain
+    # masks it: a negative entry on a dropped element becomes -0.0, which
+    # only the bytes tell from 0.0
+    masked = seed.copy()
+    masked *= keep
+    masked *= nm._keep_scale(p, keep, seed)
+    masked *= out.data > 0
+    assert np.signbit(masked[masked == 0]).any() and not keep.all()
+    handed, input_grad = [], nm._conv_input_grad
+
+    def recording_input_grad(g, *args):
+        handed.append(g.copy())
+        return input_grad(g, *args)
+
+    monkeypatch.setattr(nm, "_conv_input_grad", recording_input_grad)
+    out.backward(seed)
+    assert handed[0].tobytes() == masked.tobytes()
+
+
 def _captured(closure):
     values = []
     for cell in (closure.__closure__ or ()) if closure else ():
@@ -529,6 +648,28 @@ def test_training_graph_keeps_one_filter_wide_activation_per_block(monkeypatch, 
     assert len(wide) == (1 if fused else 3) * cfg.n_fft_blocks
 
 
+def test_training_graph_holds_only_what_a_backward_reads(monkeypatch):
+    corpus, params = ragged_setup(np.float32)
+    cfg = params.config
+    frames, forward = [], training.forward_intensity
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        frames.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(training, "forward_intensity", recording_forward)
+    held = _held_arrays(_packed_total_loss(params, corpus))
+    hidden = [a for a in held if a.shape == (frames[0], cfg.hidden_dim) and a.dtype.kind == "f"]
+    # per block q, k, v, the attention output, and each norm's normalized
+    # rows and output; then the first block's input and the result (29 with
+    # separate residual adds and layer norms)
+    assert len(hidden) == 8 * cfg.n_fft_blocks + 2
+    # the ReLU conv reads its dropout back from its output
+    assert not [a for a in held if a.shape == (frames[0], cfg.conv_filter_dim)
+                and a.dtype == np.bool_]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gradient_buffers_are_never_shared_and_equal_copied_stores(monkeypatch, dtype):
     corpus, params = ragged_setup(dtype)
@@ -568,11 +709,12 @@ def test_backward_releases_the_tape_and_keeps_the_leaf_grads(dtype):
 
     root = _packed_total_loss(params, corpus)
     ops = [node for node in ComputeGraph.trace(root) if node._parents]
-    # 47 ops, every kind a training step records among them
-    assert len(ops) > 40
+    # 37 ops (47 with each residual add and layer norm an op of its own),
+    # every kind a training step records among them
+    assert len(ops) == 37
     assert {node.op for node in ops} >= {"matmul", "attention", "conv1d",
-                                         "layer_norm", "mean_over_time",
-                                         "soft_cross_entropy", "bce_with_logits"}
+                                         "mean_over_time", "soft_cross_entropy",
+                                         "bce_with_logits"}
     grads = grads_of(params, root)
     for node in ops:
         assert node.grad is None and node._backward is None and node._parents == (), node.op
@@ -696,7 +838,7 @@ def test_a_tensor_joins_the_tape_exactly_when_it_needs_a_gradient(monkeypatch):
     monkeypatch.setattr(nm.Tensor, "backward", checking_backward)
     result = training.train_rank_model(data.corpus, ecfg, TrainConfig(
         iterations=1, batch_pairs=8, seed=0))
-    assert len(tapes) == 1 and tapes[0] > 40
+    assert tapes == [37], tapes  # 47 with separate residual adds and layer norms
     made.clear()
     records = score_corpus(result.params, data.corpus)
     assert records and len(made) > 40
@@ -726,10 +868,11 @@ def test_one_packed_forward_and_a_small_tape_per_iteration(monkeypatch):
     training.train_rank_model(data.corpus, ecfg, TrainConfig(
         iterations=2, learning_rate=1e-3, batch_pairs=8, seed=0))
     assert len(calls) == 2
-    # 91 nodes, leaves included; the attention output's separate dropout
-    # made 93, the conv1d -> relu -> dropout chain 124, and the unfused
+    # 80 nodes, leaves included; separate residual adds and layer norms, and
+    # the position table as a leaf, made 91, the attention output's separate
+    # dropout 93, the conv1d -> relu -> dropout chain 124, and the unfused
     # log-softmax and clamped-sigmoid losses 118
-    assert tapes == [91, 91], tapes
+    assert tapes == [80, 80], tapes
 
 
 _THREADS_SCRIPT = """
