@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import secrets
 import struct
@@ -136,14 +137,20 @@ class SectionReader:
         self._fh = fh
         self._crc = 0
         self._where = f"{fh.name}: " if hasattr(fh, "name") else ""
+        # bytes left to read: a size field larger than that is refused before
+        # anything is read, so no count allocates more than the file holds
+        start = fh.tell()
+        self._left = fh.seek(0, os.SEEK_END) - start
+        fh.seek(start)
 
     def error(self, message: str) -> FileFormatError:
         return FileFormatError(self._where + message)
 
     def read(self, n: int) -> bytes:
+        if n > self._left:
+            raise self.error(f"truncated file: wanted {n} bytes, got {self._left}")
         raw = self._fh.read(n)
-        if len(raw) != n:
-            raise self.error(f"truncated file: wanted {n} bytes, got {len(raw)}")
+        self._left -= n
         self._crc = zlib.crc32(raw, self._crc)
         return raw
 
@@ -167,10 +174,7 @@ class SectionReader:
 
     def finish(self):
         expected = self._crc
-        raw = self._fh.read(4)
-        if len(raw) != 4:
-            raise self.error("truncated file: missing checksum")
-        stored = struct.unpack("<I", raw)[0]
+        stored = self.read_u32()  # the CRC itself is outside the checksummed range
         if stored != expected:
             raise ChecksumError(f"{self._where}checksum mismatch: stored {stored:#010x}, "
                                 f"computed {expected:#010x}")
@@ -209,7 +213,8 @@ def read_table_section(fh: BinaryIO, magic: bytes, version: int) -> tuple[dict, 
         if tag not in _DTYPE_TAGS or name in tables:
             raise r.error(f"table '{name}' is repeated or has unknown dtype '{tag}'")
         shape = tuple(r.read_u32() for _ in range(r.read_u32()))
-        raw = r.read(int(np.prod(shape, dtype=np.int64)) * np.dtype(_DTYPE_TAGS[tag]).itemsize)
+        # a Python int: a product of u32 dims may overflow int64
+        raw = r.read(math.prod(shape) * np.dtype(_DTYPE_TAGS[tag]).itemsize)
         tables[name] = np.frombuffer(raw, dtype="<" + tag).reshape(shape).copy()
     r.finish()
     try:

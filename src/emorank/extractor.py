@@ -9,7 +9,7 @@ residual add and layer norm, and the position table's and the embedding's
 adds, run as epilogues of the affine op before them (see
 ``numerics._affine``). Two small heads read the time-pooled vectors: a
 linear classifier over emotion classes, and a two-layer projector producing
-the scalar rank score.
+the scalar rank score, a (B, 1) column with no output bias.
 
 Every stage takes one shape: a packed (sum T, C) batch of utterances with
 their frame counts as segment lengths, and (B, hidden) pooled rows for the
@@ -147,7 +147,6 @@ def _expected_shapes(cfg: ExtractorConfig) -> dict[str, tuple]:
     shapes["proj.w1"] = (h, cfg.projector_hidden)
     shapes["proj.b1"] = (cfg.projector_hidden,)
     shapes["proj.w2"] = (cfg.projector_hidden, 1)
-    shapes["proj.b2"] = (1,)
     return shapes
 
 
@@ -161,7 +160,7 @@ def init_params(cfg: ExtractorConfig, emotions: list[str],
             data = rng.normal(0.0, 0.01, size=shape)
         elif name.endswith(".gain"):
             data = np.ones(shape)
-        elif name.endswith((".b", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo", ".bias")):
+        elif name.endswith((".b", ".b1", ".bq", ".bk", ".bv", ".bo", ".bias")):
             data = np.zeros(shape)
         else:
             fan_in = int(np.prod(shape[:-1]))
@@ -330,9 +329,10 @@ def classify(params: ModelParams, h: Tensor) -> Tensor:
 
 def project_score(params: ModelParams, h: Tensor) -> Tensor:
     """Two-layer projector (tanh between) mapping (B, hidden) pooled rows to
-    (B,) scalar rank scores."""
+    a (B, 1) column of scalar rank scores. Its read-out has no bias: training
+    reads scores only through pairwise differences, which cancel any offset."""
     hidden = nm.tanh(nm.matmul(nm.as_tensor(h), params["proj.w1"], params["proj.b1"]))
-    return nm.pick(nm.matmul(hidden, params["proj.w2"], params["proj.b2"]), 0)
+    return nm.matmul(hidden, params["proj.w2"])
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +357,19 @@ def _write_model_section(fh, params: ModelParams, meta: dict | None):
     write_table_section(fh, EMOM_MAGIC, EMOM_VERSION, header, tables)
 
 
+def _drop_retired(tables: dict, where: str) -> dict:
+    """``tables`` of a model or checkpoint without the retired score bias
+    ``proj.b2`` and its Adam moments. Training reads scores only through
+    pairwise differences, so the bias never left its initial 0.0; dropping
+    any other value would shift every score, so that raises FileFormatError."""
+    bias = tables.pop("proj.b2", None)
+    if bias is not None and not (bias.shape == (1,) and bias[0] == 0.0):
+        raise FileFormatError(f"{where} holds a nonzero score bias 'proj.b2' {bias.tolist()}")
+    tables.pop("adam.m.proj.b2", None)
+    tables.pop("adam.v.proj.b2", None)
+    return tables
+
+
 def _read_model_section(fh) -> tuple[ModelParams, dict]:
     header, tables = read_table_section(fh, EMOM_MAGIC, EMOM_VERSION)
     where = f"model {fh.name}"
@@ -372,7 +385,7 @@ def _read_model_section(fh) -> tuple[ModelParams, dict]:
     shapes = _expected_shapes(cfg)
     if tables.keys() & {"feat.mean", "feat.std"}:  # both or neither
         shapes.update({"feat.mean": (cfg.input_dim,), "feat.std": (cfg.input_dim,)})
-    tables = check_tables(tables, shapes, where)
+    tables = check_tables(_drop_retired(tables, where), shapes, where)
     feat_mean, feat_std = tables.pop("feat.mean", None), tables.pop("feat.std", None)
     tensors = {name: Tensor(data, requires_grad=True) for name, data in tables.items()}
     try:

@@ -364,22 +364,22 @@ def write_emof(path, frames: np.ndarray, frame_rate_hz: float,
 
 
 def read_emof(path):
-    """Inverse of :func:`write_emof`; returns (frames, frame_rate, label, speaker, source)."""
+    """Inverse of :func:`write_emof`; returns (frames, frame_rate, label, speaker, source).
+    A malformed file, or an empty or non-finite matrix, raises FileFormatError."""
     with open(path, "rb") as fh:
         r = SectionReader(fh)
         r.expect_magic(EMOF_MAGIC)
-        version = r.read_u32()
-        if version != EMOF_VERSION:
+        if (version := r.read_u32()) != EMOF_VERSION:
             raise r.error(f"unsupported EMOF version {version}")
-        t_len = r.read_u32()
-        n_chan = r.read_u32()
-        frame_rate = r.read_f64()
-        emotion = r.read_str()
-        speaker = r.read_str()
-        source = r.read_str()
+        t_len, n_chan, frame_rate = r.read_u32(), r.read_u32(), r.read_f64()
+        emotion, speaker, source = r.read_str(), r.read_str(), r.read_str()
         raw = r.read(t_len * n_chan * 4)
         r.finish()
-    frames = np.frombuffer(raw, dtype="<f4").reshape(t_len, n_chan).copy()
+        frames = np.frombuffer(raw, dtype="<f4").reshape(t_len, n_chan).copy()
+        if frames.size == 0:
+            raise r.error(f"empty ({t_len}, {n_chan}) feature matrix")
+        if not np.all(np.isfinite(frames)):
+            raise r.error("non-finite feature values")
     return frames, frame_rate, emotion, speaker, source
 
 

@@ -11,8 +11,9 @@ both affine ops, ``matmul`` and ``conv1d``, with their ReLU, dropout,
 residual add and layer norm as in-place epilogues: a transformer sublayer's
 ``LayerNorm(x + dropout(affine(h)))`` is one op, and its graph keeps only
 what its backward reads. The unfused ops the fused ones are tested against
-(per-head softmax attention, ReLU, dropout, layer norm, log-softmax, and the
-log, clip and constant add of a sigmoid cross-entropy) live with the tests.
+(per-head softmax attention, ReLU, dropout, layer norm, log-softmax and the
+per-row pick of a cross-entropy, and the log, clip and constant add of a
+sigmoid cross-entropy) live with the tests.
 
 Shapes: an op over activations takes a 2-D (rows, C) batch, plus the row
 counts of its segments as ``lengths`` if it reads segments. One sequence is
@@ -231,7 +232,7 @@ _GRAD_CHUNK_ROWS = 256
 _GRAD_SCRATCH = 1 << 21
 
 
-def _weight_grad(a, g: np.ndarray) -> np.ndarray:
+def _weight_grad(rows, g: np.ndarray) -> np.ndarray:
     """``a.T @ g``, summed over fixed chunks of rows in a fixed order.
 
     A weight's gradient sums over every frame of a packed batch. Over a long
@@ -246,10 +247,9 @@ def _weight_grad(a, g: np.ndarray) -> np.ndarray:
     the chunk's rows, added in chunk order, and no chunk allocates a
     gradient-sized temporary.
 
-    ``a`` is an array, or a function ``(lo, hi) -> a[lo:hi]`` for a caller
-    that builds the rows chunk by chunk instead of holding all of them.
+    ``rows(lo, hi)`` builds ``a[lo:hi]``, so a caller need not hold all of
+    ``a``'s rows at once.
     """
-    rows = a if callable(a) else (lambda lo, hi: a[lo:hi])
     n = _GRAD_CHUNK_ROWS
     out = rows(0, n).T @ g[:n]
     if g.shape[0] <= n:
@@ -713,25 +713,6 @@ def mean_all(a: Tensor) -> Tensor:
         _accumulate(a, np.broadcast_to(g / n, a.shape).copy())
 
     return _make(a.data.mean(), (a,), "mean_all", backward)
-
-
-def pick(a: Tensor, index) -> Tensor:
-    """One element per row of a (rows, C) batch, differentiable: column
-    ``index``, or ``index[r]`` for row r."""
-    if a.data.ndim != 2:
-        raise ValueError(f"pick expects a (rows, C) batch, got {a.shape}")
-    rows = np.arange(a.shape[0])
-    cols = np.broadcast_to(np.asarray(index), rows.shape)
-    if not np.issubdtype(cols.dtype, np.integer) or np.any(cols < 0) \
-            or np.any(cols >= a.shape[1]):
-        raise ValueError(f"pick columns {index} out of range for {a.shape}")
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[rows, cols] = g
-        _accumulate(a, full)
-
-    return _make(a.data[rows, cols], (a,), "pick", backward)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from . import is_neutral
 from . import numerics as nm
 from .binio import (FileFormatError, atomic_write, check_tables, read_csv,
                     read_table_section, write_csv, write_table_section)
-from .extractor import (ExtractorConfig, ModelParams, _read_model_section,
+from .extractor import (ExtractorConfig, ModelParams, _drop_retired, _read_model_section,
                         _write_model_section, classify, draw_dropout_masks,
                         forward_intensity, init_params, pool, project_score)
 from .features import FeatureMatrix, read_features
@@ -62,8 +62,6 @@ class TrainConfig:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.pair_policy not in PAIR_POLICIES:
             raise ValueError(f"unknown pair_policy '{self.pair_policy}'")
-        if isinstance(self.loss_weights, dict):
-            self.loss_weights = LossWeights(**self.loss_weights)
 
 
 class Corpus:
@@ -215,7 +213,7 @@ def pair_losses(params: ModelParams, pairs: list[MixPair], *,
     l_mix = mixup_ce(nm.take_rows(logits, rows_i), nm.take_rows(logits, rows_j),
                      lambda_i, lambda_j, y_emo, y_neu=0)
     l_rank = rank_loss(nm.take_rows(r, rows_i), nm.take_rows(r, rows_j),
-                       normalized_lambda_diff(lambda_i, lambda_j))
+                       normalized_lambda_diff(lambda_i, lambda_j)[:, None])
     return nm.mean_all(l_mix), nm.mean_all(l_rank)
 
 
@@ -344,7 +342,7 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
         raise FileFormatError(f"{where} meta lacks a valid {', '.join(bad)}")
     shapes = {f"adam.{kind}.{name}": t.data.shape
               for kind in "mv" for name, t in params.tensors.items()}
-    tables = check_tables(tables, {**shapes, "trace": (None, 4)}, where)
+    tables = check_tables(_drop_retired(tables, where), {**shapes, "trace": (None, 4)}, where)
     m, v = ({name: tables[f"adam.{kind}.{name}"] for name in params.tensors} for kind in "mv")
     try:
         adam = AdamState(params.tensors, m=m, v=v, step=meta["adam_step"])

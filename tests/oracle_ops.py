@@ -181,13 +181,33 @@ def add_const(a, c: float):
     return nm._make(a.data + c, (a,), "add_const", backward)
 
 
+def pick(a, index):
+    """One element per row of a (rows, C) batch, differentiable: column
+    ``index``, or ``index[r]`` for row r."""
+    a = nm.as_tensor(a)
+    if a.data.ndim != 2:
+        raise ValueError(f"pick expects a (rows, C) batch, got {a.shape}")
+    rows = np.arange(a.shape[0])
+    cols = np.broadcast_to(np.asarray(index), rows.shape)
+    if not np.issubdtype(cols.dtype, np.integer) or np.any(cols < 0) \
+            or np.any(cols >= a.shape[1]):
+        raise ValueError(f"pick columns {index} out of range for {a.shape}")
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[rows, cols] = g
+        nm._accumulate(a, full)
+
+    return nm._make(a.data[rows, cols], (a,), "pick", backward)
+
+
 def cross_entropy(logits, target):
     """Negative log-softmax of the target class: a scalar for 1-D logits and
     one class, one value per row for (B, n) logits and B classes."""
     logits = nm.as_tensor(logits)
     if logits.data.ndim == 1:
         return nm.neg(nm.take_rows(log_softmax(logits), int(target)))
-    return nm.neg(nm.pick(log_softmax(logits), target))
+    return nm.neg(pick(log_softmax(logits), target))
 
 
 def sigmoid_bce(d, target, clamp: float = 1e-7):

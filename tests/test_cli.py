@@ -410,8 +410,14 @@ def _raw(edit):
     ("train", _raw(lambda raw: raw[:len(raw) // 2]), "truncated file"),
     ("mcd", _raw(lambda raw: b"JUNK" + raw[4:]), "bad magic"),
     ("train", _raw(lambda raw: raw[:-1] + bytes([raw[-1] ^ 1])), "checksum mismatch"),
+    ("mcd", _frames(lambda f: np.vstack([f, np.full((1, f.shape[1]), np.nan)])),
+     "non-finite"),
+    ("mcd", _frames(lambda f: f[:0]), "empty (0, 82)"),
+    # T = C = 2**32 - 1: a payload no file of this size holds
+    ("mcd", _raw(lambda raw: raw[:8] + b"\xff" * 8 + raw[16:]), "truncated file"),
 ], ids=["mcd_label_not_utf8", "label_not_utf8", "nan_frame", "negative_pitch",
-        "two_channels", "truncated", "bad_magic", "bad_checksum"])
+        "two_channels", "truncated", "bad_magic", "bad_checksum", "mcd_nan_frame",
+        "mcd_no_frames", "mcd_dims_past_the_file"])
 def test_malformed_emof_exits_4_and_writes_nothing(pipeline, tmp_path, capsys, command,
                                                    edit, message):
     corpus, out = tmp_path / "corpus", tmp_path / "out"
@@ -815,6 +821,48 @@ def test_bad_feature_stats_in_model_exit_4(pipeline, tmp_path, capsys, edit, nam
     err = capsys.readouterr().err
     assert named in err and str(model) in err
     assert os.listdir(tmp_path) == ["bad.emom"]
+
+
+def _model_declaring(dims) -> bytes:
+    """An EMOM section, checksum and all, whose one table declares ``dims``
+    float32 elements but holds 8 bytes."""
+    def text(s):
+        return struct.pack("<I", len(s)) + s.encode()
+    body = (EMOM_MAGIC + struct.pack("<I", EMOM_VERSION) + text("{}") + struct.pack("<I", 1)
+            + text("in_proj.w") + text("f4") + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+            + bytes(8))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+# 16 GiB; and a product of dims past the int64 range
+@pytest.mark.parametrize("dims", [(65536, 65536), (2**32 - 1,) * 3],
+                         ids=["16_GiB", "past_int64"])
+def test_a_model_table_larger_than_its_file_exits_4(pipeline, tmp_path, capsys, dims):
+    model = tmp_path / "big.emom"
+    model.write_bytes(_model_declaring(dims))
+    assert main(["score", str(model), pipeline["corpus"], "--out",
+                 str(tmp_path / "s.csv")]) == 4
+    err = capsys.readouterr().err
+    assert "truncated file" in err and str(model) in err, err
+    assert os.listdir(tmp_path) == ["big.emom"]
+
+
+def test_a_zero_score_bias_is_dropped_and_a_nonzero_one_exits_4(pipeline, tmp_path, capsys):
+    # a model written while the score had a bias holds it as 'proj.b2'
+    ref = tmp_path / "ref.csv"
+    assert main(["score", pipeline["model"], pipeline["corpus"], "--out", str(ref)]) == 0
+    for bias, rc in ((0.0, 0), (0.5, 4)):
+        model = tmp_path / f"old{rc}.emom"
+        shutil.copy(pipeline["model"], model)
+        rewrite_sections(model, lambda h, t: t.update(
+            {"proj.b2": np.array([bias], np.float32)}))
+        capsys.readouterr()
+        assert main(["score", str(model), pipeline["corpus"], "--out",
+                     str(tmp_path / f"s{rc}.csv")]) == rc
+    assert (tmp_path / "s0.csv").read_bytes() == ref.read_bytes()
+    err = capsys.readouterr().err
+    assert "'proj.b2'" in err and str(tmp_path / "old4.emom") in err, err
+    assert not (tmp_path / "s4.csv").exists()
 
 
 @pytest.mark.parametrize("bad", ["seed", "config"])

@@ -130,7 +130,7 @@ def test_forward_shapes():
     h = pool(i_seq)
     assert h.shape == (1, 8)
     assert classify(params, h).shape == (1, 3)
-    assert project_score(params, h).shape == (1,)
+    assert project_score(params, h).shape == (1, 1)
 
 
 def test_eval_forward_deterministic_bitwise():
@@ -246,7 +246,7 @@ def test_classify_and_project_formulas():
         logits, h.data @ params["cls.w"].data + params["cls.b"].data, atol=1e-6)
     r = project_score(params, h).item()
     hidden = np.tanh(h.data @ params["proj.w1"].data + params["proj.b1"].data)
-    expected = hidden @ params["proj.w2"].data + params["proj.b2"].data
+    expected = hidden @ params["proj.w2"].data
     assert r == pytest.approx(expected.item(), abs=1e-6)
 
 
@@ -364,7 +364,7 @@ def test_shape_mismatch_rejected(tmp_path):
 
 def test_missing_tensor_rejected(tmp_path):
     params = make_params()
-    del params.tensors["proj.b2"]
+    del params.tensors["proj.w2"]
     path = tmp_path / "model.emom"
     save_model(params, path)
     with pytest.raises(FileFormatError):

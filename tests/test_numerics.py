@@ -68,7 +68,7 @@ def test_batch_ops_reject_a_single_vector():
     with pytest.raises(ValueError):
         ops.layer_norm(v, Tensor(np.ones(3)), Tensor(np.zeros(3)))
     with pytest.raises(ValueError):
-        nm.pick(v, 1)
+        ops.pick(v, 1)
 
 
 def test_softmax_uniform():
@@ -481,14 +481,14 @@ def test_segment_mean_grads_and_values():
 def test_row_pick_and_array_scale_grads():
     rng = np.random.default_rng(25)
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    np.testing.assert_array_equal(nm.pick(a, [2, 0, 1, 2]).data,
+    np.testing.assert_array_equal(ops.pick(a, [2, 0, 1, 2]).data,
                                   a.data[[0, 1, 2, 3], [2, 0, 1, 2]])
-    fd_check(lambda: weighted_sum(nm.pick(a, [2, 0, 1, 2]), 26), [a])
-    fd_check(lambda: weighted_sum(nm.pick(a, 1), 27), [a])
+    fd_check(lambda: weighted_sum(ops.pick(a, [2, 0, 1, 2]), 26), [a])
+    fd_check(lambda: weighted_sum(ops.pick(a, 1), 27), [a])
     s = rng.normal(size=(4, 3))
     fd_check(lambda: weighted_sum(nm.scale(a, s), 28), [a])
     with pytest.raises(ValueError):
-        nm.pick(a, [0, 3, 0, 0])
+        ops.pick(a, [0, 3, 0, 0])
     with pytest.raises(ValueError):
         nm.scale(a, np.ones(3))
 

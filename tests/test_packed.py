@@ -97,7 +97,7 @@ def _ref_batch_losses(params, corpus, cfg, rng):
         mix_terms.append(mixup_ce(classify(params, h_i), classify(params, h_j),
                                   [pair.lambda_i], [pair.lambda_j], y, 0))
         rank_terms.append(rank_loss(
-            project_score(params, h_i), project_score(params, h_j),
+            ops.pick(project_score(params, h_i), 0), ops.pick(project_score(params, h_j), 0),
             normalized_lambda_diff(pair.lambda_i, pair.lambda_j)))
     l_mix, l_rank = mix_terms[0], rank_terms[0]
     for m, r in zip(mix_terms[1:], rank_terms[1:]):
@@ -138,7 +138,8 @@ def _ref_conv1d(x, kernel, bias, lengths, *, relu=False, p=0.0, keep=None, resid
         out_data = out_data + bias.data
 
     def backward(g):
-        nm._accumulate(kernel, nm._weight_grad(cols, g).reshape(k, c_in, c_out))
+        nm._accumulate(kernel, nm._weight_grad(lambda lo, hi: cols[lo:hi], g)
+                       .reshape(k, c_in, c_out))
         if bias is not None:
             nm._accumulate(bias, g.sum(axis=0))
         gcols = g @ w2d.T
@@ -170,7 +171,7 @@ def _ref_matmul(a, b, bias=None, *, p=0.0, keep=None, residual=None, norm=None):
             nm._accumulate(b, np.outer(a.data, g))
         else:
             nm._accumulate(a, g @ b.data.T)
-            nm._accumulate(b, nm._weight_grad(a.data, g))
+            nm._accumulate(b, nm._weight_grad(lambda lo, hi: a.data[lo:hi], g))
 
     out = nm._make(a.data @ b.data, (a, b), "matmul", backward)
     out = out if bias is None else ops.add(out, bias)
@@ -420,8 +421,7 @@ n = nm._GRAD_CHUNK_ROWS
 plain = a[:n].T @ g[:n]
 for lo in range(n, t_len, n):
     plain += a[lo:lo + n].T @ g[lo:lo + n]
-for rows in (a, lambda lo, hi: a[lo:hi]):
-    assert nm._weight_grad(rows, g).tobytes() == plain.tobytes()
+assert nm._weight_grad(lambda lo, hi: a[lo:hi], g).tobytes() == plain.tobytes()
 print(hashlib.sha256(plain.tobytes()).hexdigest())
 """
 
@@ -709,9 +709,10 @@ def test_backward_releases_the_tape_and_keeps_the_leaf_grads(dtype):
 
     root = _packed_total_loss(params, corpus)
     ops = [node for node in ComputeGraph.trace(root) if node._parents]
-    # 37 ops (47 with each residual add and layer norm an op of its own),
-    # every kind a training step records among them
-    assert len(ops) == 37
+    # 36 ops (37 with the score read out by a pick, 47 with each residual
+    # add and layer norm an op of its own), every kind a training step
+    # records among them
+    assert len(ops) == 36
     assert {node.op for node in ops} >= {"matmul", "attention", "conv1d",
                                          "mean_over_time", "soft_cross_entropy",
                                          "bce_with_logits"}
@@ -838,7 +839,7 @@ def test_a_tensor_joins_the_tape_exactly_when_it_needs_a_gradient(monkeypatch):
     monkeypatch.setattr(nm.Tensor, "backward", checking_backward)
     result = training.train_rank_model(data.corpus, ecfg, TrainConfig(
         iterations=1, batch_pairs=8, seed=0))
-    assert tapes == [37], tapes  # 47 with separate residual adds and layer norms
+    assert tapes == [36], tapes  # 47 with separate residual adds and layer norms
     made.clear()
     records = score_corpus(result.params, data.corpus)
     assert records and len(made) > 40
@@ -868,11 +869,12 @@ def test_one_packed_forward_and_a_small_tape_per_iteration(monkeypatch):
     training.train_rank_model(data.corpus, ecfg, TrainConfig(
         iterations=2, learning_rate=1e-3, batch_pairs=8, seed=0))
     assert len(calls) == 2
-    # 80 nodes, leaves included; separate residual adds and layer norms, and
-    # the position table as a leaf, made 91, the attention output's separate
+    # 78 nodes, leaves included; the score bias and its pick made 80,
+    # separate residual adds and layer norms, and the position table as a
+    # leaf, 91, the attention output's separate
     # dropout 93, the conv1d -> relu -> dropout chain 124, and the unfused
     # log-softmax and clamped-sigmoid losses 118
-    assert tapes == [80, 80], tapes
+    assert tapes == [78, 78], tapes
 
 
 _THREADS_SCRIPT = """

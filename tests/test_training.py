@@ -9,6 +9,7 @@ import pytest
 from emorank.binio import FileFormatError
 from emorank.extractor import ExtractorConfig, init_params, load_model, save_model
 from emorank.features import FeatureMatrix
+from emorank.losses import LossWeights
 from emorank.numerics import AdamState
 from emorank.synthcorpus import SynthSpec, generate
 from emorank.training import (Corpus, TrainConfig, TrainingError, _init_rng,
@@ -182,7 +183,7 @@ def test_train_config_validation():
         TrainConfig(batch_pairs=0)
     with pytest.raises(ValueError):
         TrainConfig(pair_policy="friends")
-    cfg = TrainConfig(loss_weights={"alpha": 0.2, "beta": 0.5})
+    cfg = TrainConfig(loss_weights=LossWeights(alpha=0.2, beta=0.5))
     assert cfg.loss_weights.alpha == 0.2
 
 
@@ -382,5 +383,5 @@ def test_checkpoint_and_model_bytes_pinned(tmp_path):
     def sha(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    assert sha(model) == "efc88d7622372d8ed5ce0503c5e60b7d2f21a50311986d7d1d26cb2b7199ea54"
-    assert sha(ckpt) == "7d30666c1ab76c65f62bf4460dc70193b00d5f86af1052e4ba7443cd700b6ecd"
+    assert sha(model) == "850fdd0cd594a72eb3a4dcd360e9ea73f84d7a8d30506e5774d1dac51902d3a4"
+    assert sha(ckpt) == "53ec273a5c6888ce08e6fd91ae2da8563da83552154303196b7329b0756af31e"
