@@ -8,6 +8,9 @@ Models and checkpoint appendices are table sections (:func:`write_table_section`
 magic | version u32 | JSON header str | table count u32 | per table: name str,
 dtype tag str ("f4" or "f8"), ndim u32, dims u32..., little-endian payload | CRC32.
 
+Config documents, a run-config file and the JSON headers of models and
+checkpoints alike, are judged by one typed check (:func:`_merge`).
+
 :func:`atomic_write` replaces an artifact file in one step, so a writer
 that fails part way leaves the previous file as it was.
 """
@@ -15,6 +18,7 @@ that fails part way leaves the previous file as it was.
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import json
 import math
@@ -36,6 +40,59 @@ class FileFormatError(ValueError):
 
 class ChecksumError(FileFormatError):
     """Stored CRC32 does not match the bytes actually read."""
+
+
+class ConfigError(ValueError):
+    """Unknown key, wrong structure, or an invalid value in a config document."""
+
+
+def _check_type(default, value, key: str):
+    """Raise :class:`ConfigError` unless ``value`` has the JSON type of its
+    default: an integer (not a boolean), a number, a string or a list. A key
+    whose default is null takes null or a number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None:
+        ok, kind = value is None or number, "null or a number"
+    elif isinstance(default, int):
+        ok, kind = number and isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        ok, kind = number, "a number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:
+        ok, kind = isinstance(value, list), "a list"
+    if not ok:
+        raise ConfigError(f"config key '{key}' must be {kind}, "
+                          f"got {type(value).__name__} {value!r}")
+
+
+def _merge(defaults, supplied, path: str, complete: bool = False):
+    """``supplied`` with each key it leaves out taken from ``defaults``, a
+    nested dict of default values that is the document's schema; an unknown
+    key, a value of the wrong JSON type (:func:`_check_type`), or with
+    ``complete`` a missing key, raises :class:`ConfigError`."""
+    if not isinstance(supplied, dict):
+        raise ConfigError(f"config section '{path or '<root>'}' must be an object, "
+                          f"got {type(supplied).__name__}")
+    where = f" in section '{path}'" if path else ""
+    unknown = sorted(set(supplied) - set(defaults))
+    if unknown:
+        known = ", ".join(sorted(defaults))
+        raise ConfigError(f"unknown config key(s) {unknown}{where}; known: {known}")
+    missing = sorted(set(defaults) - set(supplied)) if complete else []
+    if missing:
+        raise ConfigError(f"missing config key(s) {missing}{where}")
+    out = {}
+    for key, default in defaults.items():
+        full = f"{path}.{key}" if path else key
+        if isinstance(default, dict):
+            out[key] = _merge(default, supplied.get(key, {}), full, complete)
+        elif key in supplied:
+            _check_type(default, supplied[key], full)
+            out[key] = supplied[key]
+        else:
+            out[key] = copy.deepcopy(default)
+    return out
 
 
 @contextlib.contextmanager
@@ -229,13 +286,16 @@ def read_table_section(fh: BinaryIO, magic: bytes, version: int) -> tuple[dict, 
 def check_tables(tables: dict[str, np.ndarray], shapes: dict[str, tuple],
                  what: str) -> dict[str, np.ndarray]:
     """``tables`` in the order of ``shapes``, which must name each table and
-    its shape (``None``: any length), else :class:`FileFormatError`."""
+    its shape (``None``: any length), each table finite, else
+    :class:`FileFormatError`."""
     wrong = [f"unexpected '{name}'" for name in tables if name not in shapes]
     for name, shape in shapes.items():
         got = tables[name].shape if name in tables else None
         if got is None or len(got) != len(shape) or any(
                 want not in (None, n) for n, want in zip(got, shape)):
             wrong.append(f"'{name}' {'missing' if got is None else got}, expected {shape}")
+        elif not np.isfinite(tables[name]).all():
+            wrong.append(f"'{name}' holds NaN or inf")
     if wrong:
         raise FileFormatError(f"{what} has bad tables: " + "; ".join(wrong))
     return {name: tables[name] for name in shapes}

@@ -20,7 +20,7 @@ import numpy as np
 from . import is_neutral
 from .binio import FileFormatError, atomic_write, open_text
 from .extractor import ModelParams, classify, forward_intensity, pool, project_score
-from .numerics import Tensor
+from .numerics import NonFiniteError, Tensor
 from .training import Corpus
 
 LEVEL_NAMES_3 = ("Min", "Median", "Max")
@@ -79,7 +79,8 @@ def score_corpus(params: ModelParams, corpus: Corpus, *,
     Utterances run in packed chunks (see :func:`forward_intensity`) on a
     tape-free view of the parameters. The projector runs on each pooled row
     alone, a batch of one row as for a single utterance, so every record is
-    bitwise the one a forward over that utterance by itself gives.
+    bitwise the one a forward over that utterance by itself gives. A score
+    that is not finite raises :class:`NonFiniteError`, as the forward does.
     """
     const = params.constants()
     records = []
@@ -90,10 +91,13 @@ def score_corpus(params: ModelParams, corpus: Corpus, *,
         pooled = pool(i_seq, lengths)
         ends = np.cumsum(lengths)
         for r, (u, end) in enumerate(zip(chunk, ends)):
+            score = project_score(const, pooled.data[r:r + 1]).item()
+            if not math.isfinite(score):
+                raise NonFiniteError(f"utterance {u.source_id} has a non-finite score {score}")
             records.append(ScoreRecord(
                 utterance_id=u.source_id,
                 emotion=u.emotion_label.strip().lower(),
-                score=project_score(const, pooled.data[r:r + 1]).item(),
+                score=score,
                 pooled=pooled.data[r].astype(np.float64),
                 n_frames=u.n_frames,
                 i_seq=i_seq.data[end - u.n_frames:end].astype(np.float64)

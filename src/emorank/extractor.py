@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nm
-from .binio import (FileFormatError, atomic_write, check_tables, read_table_section,
+from .binio import (FileFormatError, _merge, atomic_write, check_tables, read_table_section,
                     write_table_section)
 from .numerics import Tensor
 
@@ -48,15 +48,16 @@ class ExtractorConfig:
     projector_hidden: int = 128
 
     def __post_init__(self):
-        if self.hidden_dim % self.n_heads != 0:
-            raise ValueError(
-                f"hidden_dim {self.hidden_dim} not divisible by n_heads {self.n_heads}")
-        if self.n_emotion_classes < 2:
-            raise ValueError(f"need >= 2 emotion classes, got {self.n_emotion_classes}")
+        # every count is checked before any arithmetic uses it
         for name in ("input_dim", "hidden_dim", "n_fft_blocks", "n_heads",
                      "conv_kernel", "conv_filter_dim", "projector_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_emotion_classes < 2:
+            raise ValueError(f"need >= 2 emotion classes, got {self.n_emotion_classes}")
+        if self.hidden_dim % self.n_heads != 0:
+            raise ValueError(
+                f"hidden_dim {self.hidden_dim} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -374,14 +375,21 @@ def _read_model_section(fh) -> tuple[ModelParams, dict]:
     header, tables = read_table_section(fh, EMOM_MAGIC, EMOM_VERSION)
     where = f"model {fh.name}"
     try:
-        cfg = ExtractorConfig(**header["config"])
-    except (KeyError, TypeError, ValueError) as e:  # missing, unknown key, bad value
-        raise FileFormatError(f"{where} header has no valid extractor config: {e!r}") from e
+        # a file header holds every key: save_model writes asdict(config)
+        cfg = ExtractorConfig(**_merge(asdict(ExtractorConfig()), header.get("config"),
+                                       "config", complete=True))
+    except ValueError as e:  # ConfigError, or a value out of range
+        raise FileFormatError(f"{where} header has no valid extractor config: {e}") from e
     emotions = header.get("emotions")
     if not (isinstance(emotions, list) and len(emotions) == cfg.n_emotion_classes
             and all(isinstance(e, str) for e in emotions)):
         raise FileFormatError(f"{where} header needs {cfg.n_emotion_classes} emotion "
                               f"labels, got {emotions!r}")
+    # the block count sizes the shape table, so it must match the file first
+    blocks = sum(name.startswith("block") and name.endswith(".attn.wq") for name in tables)
+    if blocks != cfg.n_fft_blocks:
+        raise FileFormatError(f"{where} header declares {cfg.n_fft_blocks} FFT blocks, "
+                              f"its tables hold {blocks}")
     shapes = _expected_shapes(cfg)
     if tables.keys() & {"feat.mean", "feat.std"}:  # both or neither
         shapes.update({"feat.mean": (cfg.input_dim,), "feat.std": (cfg.input_dim,)})

@@ -478,19 +478,21 @@ def _affine(x: Tensor, w: Tensor, bias: Tensor | None, k: int, cross, op: str, *
     so every bit is theirs, but the graph keeps only what the backward reads:
     the output, plus the normalized rows under a norm, where that chain keeps
     every intermediate. A ``residual`` that needs no gradient (an array, or a
-    constant tensor) is neither an input of the node nor held by it.
+    constant tensor) is neither an input of the node nor held by it. ReLU
+    combined with a residual or a norm raises ValueError.
 
     The backward runs the epilogues in reverse, in place on its own
     gradient: the layer-norm backward, then a copy to the residual, then the
     masks. The ReLU mask is read back from the output (a kept element is
     positive exactly when the product was, and a dropped one is 0 there, so
-    the ReLU mask zeroes its gradient and the dropout mask is not kept); only
-    an output changed by a residual or norm keeps a bool ReLU mask instead.
-    It then forms only the gradients some leaf receives: the input gradient
+    the ReLU mask zeroes its gradient and the dropout mask is not kept). It
+    then forms only the gradients some leaf receives: the input gradient
     first, freeing its (T, K*C_in) column gradient before the kernel gradient
     is formed through :func:`_weight_grad` from tap-matrix rows rebuilt one
     chunk at a time, and the bias gradient last.
     """
+    if relu and (residual is not None or norm is not None):
+        raise ValueError(f"{op} takes relu without a residual or norm")
     w2d = w.data.reshape(-1, w.shape[-1])
     out_data = _im2col(x.data, k, cross) @ w2d
     if bias is not None:
@@ -502,7 +504,6 @@ def _affine(x: Tensor, w: Tensor, bias: Tensor | None, k: int, cross, op: str, *
         out_data *= keep * c
     if relu:
         keep = None  # the ReLU mask zeroes every dropped element's gradient
-    active = out_data > 0 if relu and (residual is not None or norm is not None) else None
     res = None
     if residual is not None:
         residual = as_tensor(residual)
@@ -541,7 +542,7 @@ def _affine(x: Tensor, w: Tensor, bias: Tensor | None, k: int, cross, op: str, *
         if c is not None:
             g *= c
         if relu:
-            g *= out_data > 0 if active is None else active
+            g *= out_data > 0
         if x.requires_grad:
             _accumulate(x, _conv_input_grad(g, w2d, k, cross))
         if w.requires_grad:

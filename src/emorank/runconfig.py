@@ -12,13 +12,13 @@ Seed precedence: command-line flag > config file > EMORANK_SEED env > 0.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import inspect
 import json
 import os
 
+from .binio import ConfigError, _merge
 from .codebook import build_codebook
 from .features import FeatureConfig
 from .extractor import ExtractorConfig
@@ -27,10 +27,6 @@ from .synthcorpus import SynthSpec
 from .training import TrainConfig
 
 SEED_ENV_VAR = "EMORANK_SEED"
-
-
-class ConfigError(ValueError):
-    """Unknown key, wrong structure, or an invalid value in a config file."""
 
 
 def _field_defaults(cls, skip: tuple = ()) -> dict:
@@ -81,48 +77,6 @@ DEFAULTS: dict = {
         "tolerance": 1e-3,
     },
 }
-
-
-def _check_type(default, value, key: str):
-    """Raise :class:`ConfigError` unless ``value`` has the JSON type of its
-    default: an integer (not a boolean), a number, a string or a list. A key
-    whose default is null takes null or a number."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if default is None:
-        ok, kind = value is None or number, "null or a number"
-    elif isinstance(default, int):
-        ok, kind = number and isinstance(value, int), "an integer"
-    elif isinstance(default, float):
-        ok, kind = number, "a number"
-    elif isinstance(default, str):
-        ok, kind = isinstance(value, str), "a string"
-    else:
-        ok, kind = isinstance(value, list), "a list"
-    if not ok:
-        raise ConfigError(f"config key '{key}' must be {kind}, "
-                          f"got {type(value).__name__} {value!r}")
-
-
-def _merge(defaults, supplied, path: str):
-    if not isinstance(supplied, dict):
-        raise ConfigError(f"config section '{path or '<root>'}' must be an object, "
-                          f"got {type(supplied).__name__}")
-    unknown = sorted(set(supplied) - set(defaults))
-    if unknown:
-        known = ", ".join(sorted(defaults))
-        where = f" in section '{path}'" if path else ""
-        raise ConfigError(f"unknown config key(s) {unknown}{where}; known: {known}")
-    out = {}
-    for key, default in defaults.items():
-        where = f"{path}.{key}" if path else key
-        if isinstance(default, dict):
-            out[key] = _merge(default, supplied.get(key, {}), where)
-        elif key in supplied:
-            _check_type(default, supplied[key], where)
-            out[key] = supplied[key]
-        else:
-            out[key] = copy.deepcopy(default)
-    return out
 
 
 class RunConfig:

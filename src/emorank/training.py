@@ -18,8 +18,8 @@ import numpy as np
 
 from . import is_neutral
 from . import numerics as nm
-from .binio import (FileFormatError, atomic_write, check_tables, read_csv,
-                    read_table_section, write_csv, write_table_section)
+from .binio import (ConfigError, FileFormatError, _merge, atomic_write, check_tables,
+                    read_csv, read_table_section, write_csv, write_table_section)
 from .extractor import (ExtractorConfig, ModelParams, _drop_retired, _read_model_section,
                         _write_model_section, classify, draw_dropout_masks,
                         forward_intensity, init_params, pool, project_score)
@@ -312,9 +312,9 @@ def train_rank_model(corpus: Corpus, extractor_cfg: ExtractorConfig, train_cfg: 
 
 # ---------------------------------------------------------------------------
 # checkpoints: a regular model file followed by one binio table section, the
-# optimizer appendix. Its header is the meta dict, whose keys have these types;
-# its tables are the Adam moments, in the parameters' order, and the loss trace
-_CHECKPOINT_META = {"iteration": int, "adam_step": int, "train_config": dict}
+# optimizer appendix. Its header is the meta dict, a config document whose
+# schema is the meta of a default run; its tables are the Adam moments, in the
+# parameters' order, and the loss trace, one row per iteration
 
 
 def save_checkpoint(params: ModelParams, adam: AdamState, iteration: int,
@@ -337,13 +337,21 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState, dict, np.ndarray]:
         params, _ = _read_model_section(fh)
         meta, tables = read_table_section(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     where = f"checkpoint {os.fspath(path)}"
-    bad = [key for key, kind in _CHECKPOINT_META.items() if not isinstance(meta.get(key), kind)]
-    if bad:
-        raise FileFormatError(f"{where} meta lacks a valid {', '.join(bad)}")
+    try:
+        _merge({"iteration": 0, "adam_step": 0, "train_config": asdict(TrainConfig())},
+               meta, "", complete=True)
+    except ConfigError as e:
+        raise FileFormatError(f"{where} meta: {e}") from e
+    if meta["adam_step"] < 0:
+        raise FileFormatError(f"{where} meta has a negative adam_step {meta['adam_step']}")
     shapes = {f"adam.{kind}.{name}": t.data.shape
               for kind in "mv" for name, t in params.tensors.items()}
-    tables = check_tables(_drop_retired(tables, where), {**shapes, "trace": (None, 4)}, where)
+    tables = check_tables(_drop_retired(tables, where),
+                          {**shapes, "trace": (meta["iteration"], 4)}, where)
     m, v = ({name: tables[f"adam.{kind}.{name}"] for name in params.tensors} for kind in "mv")
+    negative = [name for name, moment in v.items() if (moment < 0).any()]
+    if negative:
+        raise FileFormatError(f"{where} has negative second moments in {negative}")
     try:
         adam = AdamState(params.tensors, m=m, v=v, step=meta["adam_step"])
     except ValueError as e:  # the shapes are checked above: moments of another dtype

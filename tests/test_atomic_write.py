@@ -301,6 +301,65 @@ def test_the_library_prints_nothing_outside_the_cli():
     assert found == []
 
 
+def _uncalled(sources: dict[str, str]) -> list[str]:
+    """``module.function`` and ``module.Class.method`` of each public
+    top-level function and method of ``sources`` (module name -> source)
+    whose name no code of ``sources`` reads, as a name or an attribute. An
+    import is not a read; names are matched without their module."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            members = [(f"{node.name}.", item) for item in node.body] \
+                if isinstance(node, ast.ClassDef) else [("", node)]
+            defined += [(f"{module}.{prefix}{item.name}", item.name) for prefix, item in members
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+        read |= {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(qualified for qualified, name in defined if name not in read)
+
+
+def test_the_uncalled_scanner_finds_public_code_no_module_reads():
+    sources = {"a": """
+from b import imported_only
+def called(): return helper()
+def helper(): pass
+def passed(): pass
+def _private(): pass
+class C:
+    def method(self): pass
+    def read(self): pass
+    def __init__(self): pass
+HANDLERS = [passed]
+""", "b": """
+def imported_only(): pass
+def uses(c): return c.read
+"""}
+    assert _uncalled(sources) == ["a.C.method", "a.called", "b.imported_only", "b.uses"]
+
+
+# public library code that nothing in the library calls, each entry with
+# what keeps it (items are ROADMAP's open items; gates are test_acceptance's)
+UNCALLED_ALLOWED = {
+    "codebook.EmotionEntry.level_for_score": "item 4, the per-phoneme path",
+    "codebook.classify_utterance": "gate 05",
+    "codebook.phoneme_average": "item 4, the per-phoneme path",
+    "codebook.write_alignment": "item 4, the per-phoneme path",
+    "evalmetrics.spearman": "item 8, the paper's claim on every codebook",
+    "losses.pair_probability": "gate 02, and the tracer's patch list (item 1)",
+    "synthcorpus.load_metadata": "item 8, the paper's claim on every codebook",
+    "training.read_trace_csv": "item 9, emorank verify",
+    "training.train_rank_model": "gates 04-06 and 08, and the benchmark's training workloads",
+}
+
+
+def test_the_library_holds_only_code_it_calls_or_allows():
+    src = Path(emorank.__file__).parent
+    found = _uncalled({path.stem: path.read_text(encoding="utf-8")
+                       for path in sorted(src.glob("*.py"))})
+    assert found == sorted(UNCALLED_ALLOWED)
+
+
 def _section_constructions(source: str) -> list[int]:
     """Lines that call ``SectionReader`` or ``SectionWriter``."""
     return [node.lineno for node in ast.walk(ast.parse(source))

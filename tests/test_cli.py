@@ -170,8 +170,21 @@ def keep(header, tables):
     # moments of the parameters' dtype, not f8 moments for f4 parameters
     (lambda meta, t: t.update({k: v.astype(np.float64) for k, v in t.items()
                                if k.startswith("adam.m.")}), "moments need one dtype"),
+    # a typed and complete meta: a bool is not an integer
+    (lambda meta, t: meta.update(iteration=True), "'iteration' must be an integer"),
+    (lambda meta, t: meta["train_config"]["loss_weights"].pop("beta"),
+     "missing config key(s) ['beta'] in section 'train_config.loss_weights'"),
+    (lambda meta, t: meta.update(adam_step=-1), "negative adam_step -1"),
+    # finite tables, nonnegative second moments, one trace row per iteration
+    (lambda meta, t: t["adam.m.cls.b"].__setitem__(0, np.nan), "'adam.m.cls.b' holds NaN or inf"),
+    (lambda meta, t: t["trace"].__setitem__((1, 0), np.inf), "'trace' holds NaN or inf"),
+    (lambda meta, t: t["adam.v.cls.b"].__setitem__(0, -1.0),
+     "negative second moments in ['cls.b']"),
+    (lambda meta, t: meta.update(iteration=3), "'trace' (2, 4), expected (3, 4)"),
 ], ids=["m_flat", "v_too_tall", "m_missing", "trace_missing", "trace_3_wide",
-        "unexpected_table", "no_iteration", "no_adam_step", "no_train_config", "m_f8"])
+        "unexpected_table", "no_iteration", "no_adam_step", "no_train_config", "m_f8",
+        "bool_iteration", "no_loss_weight", "negative_adam_step", "nan_moment", "inf_trace",
+        "negative_second_moment", "iteration_not_trace_rows"])
 def test_resume_rejects_malformed_moment_tables(pipeline, tmp_path, capsys, edit, named):
     ckpt = tmp_path / "ckpt"
     assert main(["train", "--config", pipeline["cfg"], pipeline["corpus"],
@@ -789,8 +802,21 @@ def without(key):
     (lambda h: {**h, "emotions": h["emotions"] + ["sleepy"]}, "needs 3 emotion labels"),
     (lambda h: "{not json", "header is not a JSON object"),
     (lambda h: json.dumps([h]), "header is not a JSON object"),
+    # the config goes through runconfig's typed check, every key required
+    (lambda h: {**h, "config": {**h["config"], "n_fft_blocks": True}},
+     "'config.n_fft_blocks' must be an integer, got bool True"),
+    (lambda h: {**h, "config": {**h["config"], "n_fft_blocks": 1.5}},
+     "'config.n_fft_blocks' must be an integer, got float 1.5"),
+    (lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "n_heads"}},
+     "missing config key(s) ['n_heads']"),
+    (lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "dropout"}},
+     "missing config key(s) ['dropout']"),
+    # counts are checked before any arithmetic or allocation uses them
+    # (a huge block count is swept under an address-space limit in
+    # test_corruption_sweep.py, so that a regression fails as MemoryError)
+    (lambda h: {**h, "config": {**h["config"], "n_heads": 0}}, "n_heads must be >= 1, got 0"),
 ], ids=["unknown_key", "missing", "dropout_2", "no_emotions", "extra_emotion", "not_json",
-        "not_object"])
+        "not_object", "bool_blocks", "float_blocks", "no_n_heads", "no_dropout", "zero_heads"])
 def test_bad_config_in_model_header_exits_4(pipeline, tmp_path, capsys, edit, message):
     model = tmp_path / "bad.emom"
     shutil.copy(pipeline["model"], model)
@@ -811,7 +837,14 @@ def test_bad_config_in_model_header_exits_4(pipeline, tmp_path, capsys, edit, me
     (lambda h, t: t.update({"cls.b": t["cls.b"].astype(np.float64)}), "one dtype"),
     (lambda h, t: t.update({k: t[k].astype(np.float64) for k in ("feat.mean", "feat.std")}),
      "one dtype"),
-], ids=["mean_only", "std_only", "mean_short", "std_2d", "f8_param_table", "f8_feat_stats"])
+    # every table finite: a NaN projector weight scored nan (exit 0), a NaN
+    # encoder weight failed the forward's finiteness check (exit 5)
+    (lambda h, t: t["proj.w2"].__setitem__((0, 0), np.nan), "'proj.w2' holds NaN or inf"),
+    (lambda h, t: t["block0.conv1.w"].__setitem__((0, 0, 0), np.nan),
+     "'block0.conv1.w' holds NaN or inf"),
+    (lambda h, t: t["feat.std"].__setitem__(0, np.inf), "'feat.std' holds NaN or inf"),
+], ids=["mean_only", "std_only", "mean_short", "std_2d", "f8_param_table", "f8_feat_stats",
+        "nan_projector", "nan_encoder", "inf_feat_std"])
 def test_bad_feature_stats_in_model_exit_4(pipeline, tmp_path, capsys, edit, named):
     model = tmp_path / "bad.emom"
     shutil.copy(pipeline["model"], model)
@@ -821,6 +854,17 @@ def test_bad_feature_stats_in_model_exit_4(pipeline, tmp_path, capsys, edit, nam
     err = capsys.readouterr().err
     assert named in err and str(model) in err
     assert os.listdir(tmp_path) == ["bad.emom"]
+
+
+def test_a_zero_head_count_in_a_config_file_exits_5(pipeline, tmp_path, capsys):
+    # an out-of-range config value, as a flag override is; before, the
+    # divisibility check ran first and raised ZeroDivisionError (exit 1)
+    cfg = tmp_path / "heads.json"
+    cfg.write_text(json.dumps({"extractor": {"n_heads": 0}}))
+    assert main(["train", "--config", str(cfg), pipeline["corpus"],
+                 str(tmp_path / "m.emom")]) == 5
+    assert "n_heads must be >= 1, got 0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["heads.json"]
 
 
 def _model_declaring(dims) -> bytes:

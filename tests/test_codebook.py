@@ -20,7 +20,7 @@ from emorank.codebook import (EmotionEntry, IntensityCodebook, PhonemeAlignment,
 from emorank.extractor import (ExtractorConfig, forward_intensity, init_params,
                                pool, project_score)
 from emorank.features import FeatureMatrix
-from emorank.numerics import Tensor
+from emorank.numerics import NonFiniteError, Tensor
 from emorank.training import Corpus
 
 
@@ -65,6 +65,18 @@ def test_score_corpus_covers_non_neutral_in_order():
         assert r.pooled.shape == (8,)
         assert r.pooled.dtype == np.float64
         assert np.isfinite(r.score)
+
+
+def test_score_corpus_refuses_a_non_finite_score():
+    # finite weights whose read-out overflows float32: the intensity passes
+    # the forward's finiteness check, the score does not
+    params, corpus = tiny_model(), mini_corpus()
+    params["proj.w1"].data[:] = 0.0
+    params["proj.b1"].data[:] = 10.0  # every projector unit reads tanh(10)
+    params["proj.w2"].data[:] = np.finfo(np.float32).max
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
+                                                   match="angry_0 has a non-finite score"):
+        score_corpus(params, corpus)
 
 
 def test_score_corpus_matches_manual_forward():

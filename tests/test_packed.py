@@ -497,7 +497,7 @@ def test_conv1d_epilogue_gradients_match_finite_differences():
         np.testing.assert_allclose(t.grad, ref, rtol=1e-6, atol=1e-8)
 
 
-_EPILOGUES = {  # (residual, norm) after the affine op's ReLU and dropout
+_EPILOGUES = {  # (residual, norm) after the affine op's dropout
     "residual_and_norm": ("tensor", True),
     "input_as_residual_and_norm": ("input", True),
     "constant_residual_and_norm": ("constant", True),
@@ -507,7 +507,7 @@ _EPILOGUES = {  # (residual, norm) after the affine op's ReLU and dropout
 
 
 @pytest.mark.parametrize("epilogue", list(_EPILOGUES))
-@pytest.mark.parametrize("op", ["matmul", "conv1d", "conv1d_relu"])
+@pytest.mark.parametrize("op", ["matmul", "conv1d"])
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_residual_and_norm_epilogues_equal_the_unfused_chain_bitwise(dtype, train, op,
@@ -522,7 +522,6 @@ def test_residual_and_norm_epilogues_equal_the_unfused_chain_bitwise(dtype, trai
     keep = nm.dropout_masks([(t_len, width)], p, rng)[0] if train else None
     seed = rng.normal(size=(t_len, width)).astype(dtype)
     residual_kind, with_norm = _EPILOGUES[epilogue]
-    relu = op == "conv1d_relu"
     results = []
     for fused in (True, False):
         x, w, b, r, gain, shift = (Tensor(a.copy(), requires_grad=True) for a in arrays)
@@ -538,11 +537,9 @@ def test_residual_and_norm_epilogues_equal_the_unfused_chain_bitwise(dtype, trai
             return nm.conv1d(x, w, b, lengths, **epilogue)
 
         if fused:
-            out = affine(p=p, keep=keep, residual=residual, norm=norm,
-                         **({"relu": True} if relu else {}))
+            out = affine(p=p, keep=keep, residual=residual, norm=norm)
         else:
             out = affine()
-            out = ops.relu(out) if relu else out
             out = out if keep is None else ops.dropout(out, p, keep=keep)
             out = out if residual is None else nm.add(nm.as_tensor(residual), out)
             out = out if norm is None else ops.layer_norm(out, gain, shift)
@@ -572,6 +569,18 @@ def test_a_constant_residual_is_neither_an_input_nor_held():
         nm.matmul(x, w, residual=residual.astype(np.float32))
     with pytest.raises(ValueError):
         nm.matmul(x, w, norm=(Tensor(np.ones(4)), Tensor(np.zeros(4))))
+
+
+def test_relu_takes_no_residual_or_norm():
+    # the ReLU epilogue reads its mask back from the output, which a residual
+    # or a norm after it would change
+    rng = np.random.default_rng(26)
+    x = Tensor(rng.normal(size=(6, 4)))
+    kernel = Tensor(rng.normal(size=(3, 4, 4)))
+    norm = (Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    for epilogue in ({"residual": x}, {"norm": norm}, {"residual": x, "norm": norm}):
+        with pytest.raises(ValueError, match="relu without a residual or norm"):
+            nm.conv1d(x, kernel, None, [6], relu=True, **epilogue)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
